@@ -196,7 +196,7 @@ def test_bench_serving_throughput(serving_setup, tmp_path):
         classifier,
         world.index,
         chain=world.chain,
-        config=ScoringServiceConfig(max_workers=0),
+        config=ScoringServiceConfig(),
     )
 
     # --- cold: batched, but every slice is a cache miss --------------- #
@@ -271,7 +271,7 @@ def test_bench_serving_throughput(serving_setup, tmp_path):
         classifier,
         world.index,
         chain=world.chain,
-        config=ScoringServiceConfig(max_workers=0, embedding_cache=False),
+        config=ScoringServiceConfig(embedding_cache=False),
     )
     infer_service.score(addresses)  # warm slice cache
 

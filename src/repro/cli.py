@@ -70,24 +70,21 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--world", required=True)
     score.add_argument("--model", required=True)
     score.add_argument("--workers", type=int, default=0,
-                       help="construction workers: threads for the "
-                            "single service, processes with --shards "
-                            "(0 = inline)")
-    score.add_argument("--shards", type=int, default=0,
-                       help="shard the scoring service into N shards "
-                            "via ClusterScoringService (0 = unsharded)")
+                       help="construction worker processes "
+                            "(0 = build inline)")
+    score.add_argument("--shards", type=int, default=1,
+                       help="shard the scoring service into N shards")
     score.add_argument("--warm-dir", default=None,
                        help="warm-cache store directory: load before "
                             "scoring, save after (keyed by pipeline "
                             "fingerprint + model version)")
     score.add_argument("--store-dir", default=None,
-                       help="memory-mapped chain store directory "
-                            "(cluster mode only): shards read columns "
-                            "from mapped segments instead of deep-"
-                            "copied indexes; created/extended on use")
+                       help="memory-mapped chain store directory: "
+                            "shards read columns from mapped segments "
+                            "instead of deep-copied indexes; "
+                            "created/extended on use")
     score.add_argument("--cache-capacity", type=int, default=4096,
-                       help="slice-cache entries (per shard when "
-                            "--shards > 0)")
+                       help="slice-cache entries per shard")
     score.add_argument("--stats", action="store_true",
                        help="print cache statistics after scoring")
     score.add_argument("--stats-json", default=None, metavar="PATH",
@@ -206,44 +203,22 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    from repro.serve import (
-        AddressScoringService,
-        ClusterConfig,
-        ClusterScoringService,
-        ScoringServiceConfig,
-    )
+    from repro.serve import ClusterConfig, ClusterScoringService
 
-    if args.store_dir and args.shards <= 0:
-        print("error: --store-dir requires --shards > 0 "
-              "(the chain store backs cluster shards)",
-              file=sys.stderr)
-        return 2
     chain, index, _, _ = load_world_chain(args.world)
     classifier = BAClassifier.load(args.model)
-    if args.shards > 0:
-        service = ClusterScoringService(
-            classifier,
-            index,
-            chain=chain,
-            config=ClusterConfig(
-                num_shards=args.shards,
-                num_workers=args.workers,
-                cache_capacity=args.cache_capacity,
-                store_dir=args.store_dir,
-            ),
-            class_names=CLASS_NAMES,
-        )
-    else:
-        service = AddressScoringService(
-            classifier,
-            index,
-            chain=chain,
-            config=ScoringServiceConfig(
-                cache_capacity=args.cache_capacity,
-                max_workers=args.workers,
-            ),
-            class_names=CLASS_NAMES,
-        )
+    service = ClusterScoringService(
+        classifier,
+        index,
+        chain=chain,
+        config=ClusterConfig(
+            num_shards=args.shards,
+            num_workers=args.workers,
+            cache_capacity=args.cache_capacity,
+            store_dir=args.store_dir,
+        ),
+        class_names=CLASS_NAMES,
+    )
     if args.warm_dir:
         restored = service.load_warm(args.warm_dir)
         print(f"warm store: restored {restored} cached slice graphs")
@@ -270,14 +245,11 @@ def _cmd_score(args) -> int:
             f"invalidations={stats.invalidations} "
             f"hit_rate={stats.hit_rate:.2%}"
         )
-        if args.shards > 0:
-            for row in service.shard_stats():
-                print(
-                    "  shard {shard}: entries={entries} "
-                    "nbytes={nbytes} hits={hits} misses={misses}".format(
-                        **row
-                    )
-                )
+        for row in service.shard_stats():
+            print(
+                "  shard {shard}: entries={entries} "
+                "nbytes={nbytes} hits={hits} misses={misses}".format(**row)
+            )
     if args.stats_json:
         from repro import obs
         from repro.obs import render_json

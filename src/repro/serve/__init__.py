@@ -1,28 +1,29 @@
 """The serving layer: cached, batched, sharded address scoring.
 
-Wraps a chain index, the graph-construction pipeline, and a trained
-classifier behind one ``score(addresses)`` API with slice-graph caching,
-incremental invalidation on block append, worker-pool construction, and
-block-diagonal batched inference
-(:class:`~repro.serve.service.AddressScoringService`) — plus the
-scale-out layer above it
-(:class:`~repro.serve.cluster.ClusterScoringService`): deterministic
-address-prefix sharding (:class:`~repro.serve.router.ShardRouter`),
-live multi-process miss construction with streamed block-append
-ingestion, per-shard locking so disjoint queries overlap, an asyncio
+One implementation, :class:`~repro.serve.cluster.ClusterScoringService`,
+wraps a chain index, the graph-construction pipeline, and a trained
+classifier behind one ``score(addresses)`` API: slice-graph and
+embedding caching, incremental invalidation on block append,
+deterministic address-prefix sharding
+(:class:`~repro.serve.router.ShardRouter`) with per-shard locking,
+inline or live multi-process miss construction with streamed
+block-append ingestion, block-diagonal batched inference, an asyncio
 front end that micro-batches concurrent requests, and warm-cache
 persistence keyed by pipeline fingerprint and encoder version
 (:class:`~repro.serve.store.CacheStore`).
+:class:`~repro.serve.cluster.AddressScoringService` is the same service
+pinned to one shard with inline construction.
 """
 
 from repro.serve.cache import CacheKey, CacheStats, SliceGraphCache
-from repro.serve.cluster import ClusterConfig, ClusterScoringService
-from repro.serve.router import ShardRouter
-from repro.serve.service import (
-    AddressScore,
+from repro.serve.cluster import (
     AddressScoringService,
+    ClusterConfig,
+    ClusterScoringService,
     ScoringServiceConfig,
 )
+from repro.serve.router import ShardRouter
+from repro.serve.service import AddressScore
 from repro.serve.store import CacheStore, WarmState, encoder_version
 
 __all__ = [

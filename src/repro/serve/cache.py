@@ -9,8 +9,8 @@ construction parameters never share entries.
 
 The cache is payload-agnostic: entries may be compact columnar
 :class:`~repro.graphs.arrays.ArrayGraph` slices, fully encoded
-:class:`~repro.gnn.data.EncodedGraph` tensors (what
-:class:`~repro.serve.service.AddressScoringService` stores, built
+:class:`~repro.gnn.data.EncodedGraph` tensors (what each shard of
+:class:`~repro.serve.cluster.ClusterScoringService` stores, built
 zero-copy from the arrays), per-slice embedding rows (the
 encoder-version-keyed embedding cache of the serving layer), or
 anything else keyed the same way.  Payloads exposing an ``nbytes``

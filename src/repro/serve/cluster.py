@@ -1,69 +1,74 @@
-"""``repro.serve.cluster`` — sharded multi-process scoring with warm caches.
+"""``repro.serve.cluster`` — cached, sharded address scoring.
 
-:class:`~repro.serve.service.AddressScoringService` amortises repeat
-queries beautifully, but its construction parallelism is thread-bound:
-under the GIL, the CPU-heavy miss path (Stages 1–4 plus encoding) runs
-one core no matter how many worker threads it owns.
-:class:`ClusterScoringService` is the scale-out layer above it:
+:class:`ClusterScoringService` is the one serving implementation;
+:class:`AddressScoringService` is the same class pinned to one shard
+with inline construction (:class:`ScoringServiceConfig`).  The offline
+pipeline rebuilds every address graph on each query and runs one GNN
+forward per graph; the service instead:
 
-- **Sharding.**  A :class:`~repro.serve.router.ShardRouter`
+- **Shards.**  A :class:`~repro.serve.router.ShardRouter`
   deterministically partitions the address space by address-prefix hash
   into N shards.  Each shard owns its own
   :class:`~repro.chain.explorer.ChainIndex` slice
   (:meth:`~repro.chain.explorer.ChainIndex.sharded`), its own
-  :class:`~repro.serve.cache.SliceGraphCache` + embedding cache, its
-  own :class:`~repro.graphs.pipeline.GraphConstructionPipeline`, and —
-  since the streaming rework — its own lock and version counter: the
-  unit of replica scale-out, of warm-store bundling, and of query
-  concurrency.
-- **Live multi-process construction.**  Cache misses fan out over a
-  pool of *long-lived* ``multiprocessing`` workers (:class:`_WorkerPool`),
-  one build task per shard with misses.  Workers rebuild the missing
-  slice graphs in array form
-  (:func:`~repro.graphs.pipeline.worker_build_slices` — one
-  ``build_many_slices`` call per task, so Stage 4 batches across every
-  address the task owns), encode them, pre-propagate the GFN feature
-  augmentation, and ship the
-  :class:`~repro.gnn.data.EncodedGraph` ndarray columns back as
-  picklable payloads.  Block appends are *streamed* to the workers as
-  tail-replay messages over the same per-worker queues
+  :class:`~repro.serve.cache.SliceGraphCache` of encoded slice graphs
+  + embedding cache, its own
+  :class:`~repro.graphs.pipeline.GraphConstructionPipeline`, and its
+  own lock and version counter: the unit of replica scale-out, of
+  warm-store bundling, and of query concurrency.
+- **Caches slice graphs.**  Entries are keyed by ``(address,
+  slice_index, pipeline fingerprint)``; completed slices of an
+  append-only history never change, so warm queries skip construction
+  and, through the embedding cache, even the GNN forward.
+- **Builds misses in batches.**  Every miss path routes through
+  :meth:`~repro.graphs.pipeline.GraphConstructionPipeline.build_many_slices`,
+  one call per shard with misses, so the Stage-4 centrality kernels run
+  as block-diagonal sweeps over every address of the call.  With
+  ``num_workers == 0`` the parent builds inline; otherwise the calls fan
+  out over a pool of *long-lived* ``multiprocessing`` workers
+  (:class:`_WorkerPool`, :func:`~repro.graphs.pipeline.worker_build_slices`)
+  that encode the graphs, pre-propagate the GFN feature augmentation,
+  and ship the :class:`~repro.gnn.data.EncodedGraph` ndarray columns
+  back.  Block appends are *streamed* to the workers as tail-replay
+  messages over the same per-worker queues
   (:meth:`~repro.chain.explorer.ChainIndex.ingest_transactions`), so a
   warm pool survives chain growth instead of being re-forked per block.
   **Inference stays in the parent**: the trained model is loaded
   exactly once, and all shards' slice sequences share one
-  block-diagonal GNN batch + one padded sequence-head pass, so results
-  are 1e-9-parity with the single service.
-- **Per-shard locking.**  The service lock only guards lifecycle state
+  block-diagonal GNN batch + one padded sequence-head pass
+  (:mod:`repro.serve.service`), so scores are identical for every shard
+  and worker count.
+- **Locks per shard.**  The service lock only guards lifecycle state
   (chain subscription, pool/executor/batcher handles, the sync
   watermark).  Queries plan, build, and commit under the owning
   *shard's* lock with an optimistic version check — concurrent queries
   touching disjoint shards never contend, and a block append racing an
   in-flight query simply forces that query to re-plan against the
   post-append state (see :meth:`_Shard.commit_members`).
-- **Invalidation.**  Block appends route each touched address to its
-  owning shard and drop exactly the dirtied trailing slices there
-  (same ``(timestamp, txid)`` insertion-point protocol as the single
-  service), bumping the shard version so racing queries re-plan.
-  Growth observed *without* block events re-slices the shard indexes
-  from the parent index tail before planning, so an unconnected
-  cluster degrades to full rebuilds of grown addresses instead of
-  serving stale history.
-- **Warm persistence.**  :meth:`ClusterScoringService.save_warm`
+- **Invalidates incrementally.**  Block appends route each touched
+  address to its owning shard and drop exactly the dirtied trailing
+  slices there — computed from where the new transactions sort into the
+  ``(timestamp, txid)``-ordered history — bumping the shard version so
+  racing queries re-plan.  Growth observed *without* block events
+  re-slices the shard indexes from the parent index tail before
+  planning, so an unconnected service degrades to full rebuilds of
+  grown addresses instead of serving stale history.
+- **Persists warm state.**  :meth:`ClusterScoringService.save_warm`
   writes one :class:`~repro.serve.store.CacheStore` bundle per shard,
   keyed by ``(pipeline fingerprint, model version)``;
   :meth:`~ClusterScoringService.load_warm` re-routes every stored
   entry through the *current* router, so a store written with N shards
-  can warm a cluster resharded to M (or a plain single service).
-- **Async front end with micro-batching.**
+  can warm a service resharded to M.
+- **Micro-batches async requests.**
   :meth:`~ClusterScoringService.async_score` runs queries on the
-  cluster's own bounded executor (never the event loop's default one),
+  service's own bounded executor (never the event loop's default one),
   and — by default — coalesces concurrent in-flight requests through a
   :class:`_MicroBatcher` window into one merged scoring pass: the
   cross-*request* analogue of the cross-address batching below it, with
   per-request results split back out bit-equal to serial scoring.
 
 ``score`` is thread-safe; the single-writer chain model still applies
-to *appends* (one block producer at a time), but appends may now race
+to *appends* (one block producer at a time), but appends may race
 in-flight queries — the per-shard version protocol linearizes them.
 """
 
@@ -76,7 +81,7 @@ import time
 from collections import deque
 from collections.abc import Mapping
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from queue import Empty
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -106,22 +111,25 @@ from repro.serve.cache import (
 from repro.serve.router import DEFAULT_PREFIX_LENGTH, ShardRouter
 from repro.serve.service import (
     AddressScore,
-    _SERVE_ADDRESSES,
-    _SERVE_REQUESTS,
-    _SERVE_SECONDS,
     _class_name_mapping,
-    _export_warm_state,
-    _import_warm_state,
-    _invalidate_address,
-    _plan_slices,
     _score_sequences,
     _unknown_addresses_error,
 )
-from repro.serve.store import CacheStore, encoder_version
+from repro.serve.store import CacheStore, WarmState, encoder_version
 from repro.utils.timer import StageTimer
 
-__all__ = ["ClusterConfig", "ClusterScoringService"]
+__all__ = [
+    "AddressScoringService",
+    "ClusterConfig",
+    "ClusterScoringService",
+    "ScoringServiceConfig",
+]
 
+#: Request-level registry metrics: one scoring pass == one request (the
+#: micro-batcher may merge several callers into one).
+_SERVE_REQUESTS = obs.counter("serve_requests_total")
+_SERVE_ADDRESSES = obs.counter("serve_addresses_total")
+_SERVE_SECONDS = obs.histogram("serve_request_seconds")
 #: Cluster-layer registry metrics (process-global; see ``repro.obs``).
 #: The legacy accessors — ``pool_stats()``, ``micro_batch_stats()``,
 #: per-shard ``CacheStats`` — stay the per-instance views; these
@@ -235,6 +243,29 @@ class ClusterConfig:
             )
 
 
+@dataclass(frozen=True)
+class ScoringServiceConfig:
+    """Knobs of the single-process :class:`AddressScoringService`.
+
+    The fields mean what the :class:`ClusterConfig` fields of the same
+    names mean and are validated by it: the service runs as a one-shard
+    cluster that builds cache misses inline, so every other cluster
+    knob keeps its default.
+    """
+
+    cache_capacity: int = 4096
+    graph_batch_size: int = 256
+    sequence_batch_size: int = 64
+    embedding_cache: bool = True
+    embedding_cache_capacity: int = 65536
+
+    def __post_init__(self) -> None:
+        self._cluster_config()  # raises ValidationError on a bad field
+
+    def _cluster_config(self) -> ClusterConfig:
+        return ClusterConfig(num_shards=1, num_workers=0, **asdict(self))
+
+
 class _ShardMembership:
     """Picklable shard-membership predicate (a shard index's filter)."""
 
@@ -331,9 +362,9 @@ class _Shard:
         """Plan every member address under one lock hold.
 
         Returns ``(version, counts, plans)`` where ``plans`` maps each
-        address to its :func:`~repro.serve.service._plan_slices` result
-        and ``version`` is the shard version the whole plan is
-        consistent with — :meth:`commit_members` refuses the results if
+        address to its :meth:`_plan_address_locked` result and
+        ``version`` is the shard version the whole plan is consistent
+        with — :meth:`commit_members` refuses the results if
         the shard has moved on since.
         """
         wait_start = time.perf_counter()
@@ -347,16 +378,58 @@ class _Shard:
             for address in members:
                 count = self.index.transaction_count(address)
                 counts[address] = count
-                plans[address] = _plan_slices(
-                    self.cache,
-                    fingerprint,
-                    slice_size,
-                    address,
-                    count,
-                    self.covered.get(address, 0),
-                    connected,
+                plans[address] = self._plan_address_locked(
+                    address, count, fingerprint, slice_size, connected
                 )
             return version, counts, plans
+
+    def _plan_address_locked(
+        self,
+        address: str,
+        count: int,
+        fingerprint: str,
+        slice_size: int,
+        connected: bool,
+    ) -> Tuple[Dict[int, EncodedGraph], List[int], int]:
+        """Split one address's slices into cache-served and to-build.
+
+        The freshness protocol: coverage equal to the current
+        transaction count trusts every cached slice; growth under a
+        connected service trusts the slices invalidation left intact;
+        growth without block events trusts nothing (there is no way to
+        know where the new transactions sorted into the history).
+        Known-stale slices are counted as misses without a lookup.
+
+        Returns ``(reusable, missing, fresh_until)``.  ``fresh_until``
+        marks the trusted region: a *missing* slice below it was merely
+        evicted — its rebuild is content-identical, so derived state
+        (embedding rows) keyed to it stays valid.
+        """
+        num_slices = -(-count // slice_size)
+        covered = self.covered.get(address, 0)
+        if covered > count:
+            covered = 0  # not append-only growth: distrust everything
+        if covered == count:
+            fresh_until = num_slices
+        elif connected:
+            # on_block already dropped every dirtied slice (computed from
+            # where the new transactions sort in), so whatever coverage
+            # remains is exact.
+            fresh_until = covered // slice_size
+        else:
+            fresh_until = 0
+        reusable: Dict[int, EncodedGraph] = {}
+        missing: List[int] = []
+        for i in range(num_slices):
+            if i < fresh_until:
+                entry = self.cache.get((address, i, fingerprint))
+                if entry is not None:
+                    reusable[i] = entry
+                    continue
+            else:
+                self.cache.note_miss()
+            missing.append(i)
+        return reusable, missing, fresh_until
 
     def commit_members(
         self,
@@ -415,8 +488,9 @@ class _Shard:
         """Ingest an appended block; the caller holds ``self.lock``.
 
         ``touched`` maps this shard's dirtied member addresses to the
-        earliest new ``(timestamp, txid)`` key — each gets the shared
-        insertion-point invalidation, and any dirtied membership bumps
+        earliest new ``(timestamp, txid)`` key — each gets the
+        insertion-point invalidation of :meth:`_invalidate_locked`, and
+        any dirtied membership bumps
         the version so racing queries re-plan (including first-ever
         queries with no coverage yet, whose plans are equally stale).
 
@@ -433,15 +507,39 @@ class _Shard:
         if touched:
             self.version += 1
         for address, earliest_new in touched.items():
-            _invalidate_address(
-                self.cache,
-                self.embeddings,
-                self.covered,
-                self.index.records_for,
-                address,
-                earliest_new,
-                slice_size,
+            self._invalidate_locked(address, earliest_new, slice_size)
+
+    def _invalidate_locked(
+        self,
+        address: str,
+        earliest_new: Tuple[float, str],
+        slice_size: int,
+    ) -> None:
+        """Drop the cached slices a block append dirties for one address.
+
+        The invalidation half of the freshness protocol: slices before
+        the insertion point of the earliest new transaction keep their
+        membership, so ``stale_from`` is computed from where the new
+        transactions *sort into* the ``(timestamp, txid)``-ordered
+        history.  Idempotent across repeated appends: already
+        slice-aligned coverage is never eroded.  Graph entries and
+        embedding rows drop together.
+        """
+        current = self.covered.get(address)
+        if not current:
+            return
+        position = sum(
+            1
+            for record in self.index.records_for(address)
+            if (record.timestamp, record.txid) < earliest_new
+        )
+        stale_from = min(current, position) // slice_size
+        self.cache.invalidate_address(address, from_slice=stale_from)
+        if self.embeddings is not None:
+            self.embeddings.invalidate_address(
+                address, from_slice=stale_from
             )
+        self.covered[address] = min(current, stale_from * slice_size)
 
     def ingest_tail_locked(
         self, tail: Sequence[Tuple[object, int]]
@@ -484,12 +582,58 @@ class _Shard:
             snapshot.merge(self.pipeline.timer)
             return snapshot
 
-    def export_warm_state(self):
+    def export_warm_state(self) -> WarmState:
         """Atomic warm snapshot of the caches plus coverage."""
         with self.lock:
-            return _export_warm_state(
-                self.cache, self.embeddings, self.covered
+            return WarmState(
+                entries=[
+                    (key[0], key[1], payload)
+                    for key, payload in self.cache.export_entries()
+                ],
+                embeddings=(
+                    [
+                        (key[0], key[1], row)
+                        for key, row in self.embeddings.export_entries()
+                    ]
+                    if self.embeddings is not None
+                    else []
+                ),
+                covered=dict(self.covered),
             )
+
+    def import_warm_state(
+        self,
+        state: WarmState,
+        trusted: Set[str],
+        fingerprint: str,
+        embedding_fingerprint: str,
+    ) -> int:
+        """Import the ``trusted`` member addresses of one warm bundle.
+
+        ``trusted`` holds this shard's addresses whose current
+        transaction count still equals the bundle's recorded coverage
+        (see :meth:`ClusterScoringService.load_warm`).  Returns the
+        number of slice entries still *live* after the import: a bundle
+        larger than the cache's capacity evicts its own oldest entries,
+        which must not be reported as restored.
+        """
+        with self.lock:
+            imported = []
+            for address, slice_index, payload in state.entries:
+                if address in trusted:
+                    key = (address, slice_index, fingerprint)
+                    self.cache.put(key, payload)
+                    imported.append(key)
+            if self.embeddings is not None:
+                for address, slice_index, row in state.embeddings:
+                    if address in trusted:
+                        self.embeddings.put(
+                            (address, slice_index, embedding_fingerprint),
+                            row,
+                        )
+            for address in trusted:
+                self.covered[address] = state.covered[address]
+            return sum(1 for key in imported if key in self.cache)
 
 
 # ---------------------------------------------------------------------- #
@@ -732,7 +876,16 @@ class _WorkerPool:
             tasks.put(("remap",))
 
     def _collect(self) -> None:
+        # Liveness is checked on a clock, not only when the queue goes
+        # quiet: results streaming in from healthy workers must not
+        # starve the check that fails a dead worker's in-flight builds.
+        next_health_check = time.monotonic()
         while True:
+            if time.monotonic() >= next_health_check:
+                next_health_check = (
+                    time.monotonic() + _COLLECT_POLL_SECONDS
+                )
+                self._fail_dead_workers()
             try:
                 message = self._results.get(
                     timeout=_COLLECT_POLL_SECONDS
@@ -741,7 +894,6 @@ class _WorkerPool:
                 with self._lock:
                     if self._closed:
                         return
-                self._fail_dead_workers()
                 continue
             seq, encoded, timer, error, obs_payload = message
             # Fold the worker's metric/span deltas in *before* the
@@ -990,14 +1142,25 @@ def _fail_future(future: Future, error: BaseException) -> None:
 class ClusterScoringService:
     """Sharded, multi-process ``score(addresses)`` over a fitted model.
 
-    Drop-in for :class:`~repro.serve.service.AddressScoringService` —
-    same constructor shape, same ``score`` / ``score_one`` /
-    ``connect`` / ``disconnect`` / ``close`` surface, same incremental
-    invalidation semantics — with construction spread over
-    ``config.num_workers`` live worker processes, state spread over
-    ``config.num_shards`` independently-locked shards, and an async
-    front end that micro-batches concurrent requests.  See the module
-    docstring for the design.
+    Construction is spread over ``config.num_workers`` live worker
+    processes (or run inline with 0), state over ``config.num_shards``
+    independently-locked shards, and an async front end micro-batches
+    concurrent requests.  See the module docstring for the design.
+
+    Parameters
+    ----------
+    classifier:
+        A fitted :class:`~repro.core.BAClassifier` (trained or loaded).
+    index:
+        The chain index to read transaction histories from.
+    chain:
+        Optional chain to subscribe to for incremental invalidation;
+        equivalent to calling :meth:`connect` afterwards.
+    config:
+        The :class:`ClusterConfig` (defaults to ``ClusterConfig()``).
+    class_names:
+        Optional ``{label: name}`` mapping (or label-indexed sequence)
+        for human-readable results.
 
     Lock order (outermost first): service ``_lock`` → shard locks in
     ascending ``shard_id`` order → cache-internal leaf locks.  Queries
@@ -1034,7 +1197,8 @@ class ClusterScoringService:
     ):
         if not getattr(classifier, "is_fitted", False):
             raise NotFittedError(
-                "ClusterScoringService needs a fitted (or loaded) classifier"
+                f"{type(self).__name__} needs a fitted (or loaded) "
+                f"classifier"
             )
         self.classifier = classifier
         self.index = index
@@ -1095,8 +1259,8 @@ class ClusterScoringService:
     def connect(self, chain: Blockchain) -> None:
         """Subscribe to ``chain`` so appends invalidate shard caches.
 
-        Same trust semantics as the single service: coverage built
-        while not listening cannot be vouched for, so connecting drops
+        Coverage built while not listening cannot be vouched for
+        (appends may have gone unobserved), so connecting drops
         existing shard cache contents (a same-chain re-connect is a
         no-op and keeps everything warm).  Shard index slices are
         re-synced from the parent index first, in case it grew while
@@ -1163,9 +1327,9 @@ class ClusterScoringService:
 
         Each touched address routes to its owning shard, where exactly
         the slices at or after the block's insertion point into that
-        address's history are dropped — the cross-shard form of the
-        single service's incremental invalidation — and the shard
-        version is bumped so racing queries re-plan.  The same
+        address's history are dropped (see
+        :meth:`_Shard._invalidate_locked`) and the shard version is
+        bumped so racing queries re-plan.  The same
         transactions are streamed to the live worker pool as an ingest
         message *inside* the shard-lock critical section: any query
         that observes the bumped version is therefore guaranteed its
@@ -1230,8 +1394,9 @@ class ClusterScoringService:
         :meth:`~repro.chain.explorer.ChainIndex.ingest_transactions` —
         O(new transactions), not a from-scratch re-slice) and streams
         the same tail to the live workers; coverage trust is handled
-        separately by the planning protocol, exactly like the single
-        service's unconnected path.  Caller holds the service lock.
+        separately by the planning protocol
+        (:meth:`_Shard._plan_address_locked`).  Caller holds the
+        service lock.
         """
         if self.index.total_transactions() <= self._synced_transactions:
             return
@@ -1260,10 +1425,10 @@ class ClusterScoringService:
     def score(self, addresses: Sequence[str]) -> Dict[str, AddressScore]:
         """Score addresses: ``{address: AddressScore}`` in input order.
 
-        Misses are planned per shard, built by the live worker pool
-        (one task per shard with misses), and inference runs once in
-        the parent over every shard's sequences — scores match the
-        single service to 1e-9.  Raises
+        Misses are planned per shard, built inline or by the live
+        worker pool (one task per shard with misses), and inference
+        runs once in the parent over every shard's sequences — scores
+        match across shard and worker counts to 1e-9.  Raises
         :class:`~repro.errors.ValidationError` for addresses with no
         transactions on chain.  Thread-safe: queries only serialise
         where they actually overlap — each plan/commit takes the owning
@@ -1397,11 +1562,9 @@ class ClusterScoringService:
                     untrusted |= shard_untrusted
             pending = retry
 
-        # Inference — parent process only, model loaded once: the
-        # shared tail runs one block-diagonal GNN pass + one padded
-        # sequence-head pass over every shard's sequences, in input
-        # address order (the same body the single service scores
-        # through, which is what keeps the two identical).
+        # Inference — parent process only, model loaded once: one
+        # block-diagonal GNN pass + one padded sequence-head pass over
+        # every shard's sequences, in input address order.
         return _score_sequences(
             self.classifier,
             addresses,
@@ -1629,8 +1792,10 @@ class ClusterScoringService:
 
         Every bundle under this cluster's store key is loaded and each
         entry re-routed through the *current* router, so restores
-        survive resharding (and stores written by an unsharded service
-        load fine).  Only addresses whose current transaction count
+        survive resharding.  A bundle that fails to load — corrupt,
+        truncated by a crashed save — is skipped, so an unusable store
+        degrades to a cold start instead of a crashed one.  Only
+        addresses whose current transaction count
         matches the recorded coverage are trusted; the rest rebuild
         cold.  Call after :meth:`connect` (connecting drops coverage by
         design).  Returns the number of slice entries restored.
@@ -1639,11 +1804,6 @@ class ClusterScoringService:
             store = CacheStore(
                 directory, self.fingerprint, self.model_version
             )
-
-            def resolve(address: str):
-                shard = self.shards[self.router.shard_of(address)]
-                return (shard.cache, shard.embeddings, shard.covered)
-
             restored = 0
             for name in store.bundle_names():
                 try:
@@ -1652,11 +1812,50 @@ class ClusterScoringService:
                     continue  # unusable bundle: rebuild cold
                 if state is None:
                     continue
-                restored += _import_warm_state(
-                    state,
-                    self.index.transaction_count,
-                    resolve,
-                    self.fingerprint,
-                    self.embedding_fingerprint,
-                )
+                trusted = [
+                    address
+                    for address, count in state.covered.items()
+                    if count == self.index.transaction_count(address)
+                ]
+                for shard_id, members in self.router.partition(
+                    trusted
+                ).items():
+                    restored += self.shards[shard_id].import_warm_state(
+                        state,
+                        set(members),
+                        self.fingerprint,
+                        self.embedding_fingerprint,
+                    )
             return restored
+
+
+class AddressScoringService(ClusterScoringService):
+    """Serve ``score(addresses)`` queries from one process.
+
+    A one-shard :class:`ClusterScoringService` that builds cache misses
+    inline: the same planning, caching, invalidation, warm persistence,
+    async front end and stats, configured by a
+    :class:`ScoringServiceConfig` instead of a :class:`ClusterConfig`
+    (``self.config`` holds the cluster config it maps to).
+    """
+
+    def __init__(
+        self,
+        classifier,
+        index: ChainIndex,
+        chain: Optional[Blockchain] = None,
+        config: Optional[ScoringServiceConfig] = None,
+        class_names: "Union[Mapping[int, str], Sequence[str], None]" = None,
+    ):
+        super().__init__(
+            classifier,
+            index,
+            chain=chain,
+            config=(config or ScoringServiceConfig())._cluster_config(),
+            class_names=class_names,
+        )
+
+    @property
+    def cache(self) -> SliceGraphCache[EncodedGraph]:
+        """The slice-graph cache of the service's only shard."""
+        return self.shards[0].cache

@@ -1,144 +1,40 @@
-"""Cached, batched address scoring over a trained BAClassifier.
+"""The inference tail every scoring configuration shares.
 
-The offline pipeline rebuilds every address graph from scratch on each
-query and runs one GNN forward per graph.  :class:`AddressScoringService`
-is the serving-path counterpart:
+:class:`~repro.serve.cluster.ClusterScoringService` (and the single
+:class:`~repro.serve.cluster.AddressScoringService`, a one-shard
+cluster) plans, builds and caches encoded slice graphs per shard.
+Everything after that point lives here, in one body, which is what
+keeps the scores of every shard and worker configuration identical:
 
-- **Slice-graph caching** — encoded slice graphs are reused across
-  queries via :class:`~repro.serve.cache.SliceGraphCache`, keyed by
-  ``(address, slice_index, pipeline fingerprint)``.  The construction
-  pipeline yields columnar :class:`~repro.graphs.arrays.ArrayGraph`
-  slices; each is encoded once (features assembled straight from the
-  array columns) and the encoded tensors — which also memoise the GFN
-  propagation across warm queries — are what the cache holds, with
-  tensor-byte ``nbytes`` accounting for observability (eviction stays
-  entry-count LRU).
-- **Incremental invalidation** — when blocks are appended to a connected
-  chain, only the trailing slices of the touched addresses are dropped;
-  completed slices of an append-only history never change.
-- **Parallel construction** — cache misses fan out over a
-  ``concurrent.futures`` thread pool; addresses are grouped into one
-  task per worker so every worker batches Stage 4 across all the
-  addresses it owns (the process-pool sibling lives in
-  :mod:`repro.serve.cluster`).
-- **Cross-address Stage-4 batching** — every miss path routes through
-  :meth:`~repro.graphs.pipeline.GraphConstructionPipeline.build_many_slices`,
-  so the Stage-4 centrality kernels run as block-diagonal sweeps over
-  all addresses a build call covers instead of per graph — the whole
-  query on the single-threaded path, each worker's address group on
-  the threaded path.  Disable via
-  ``GraphPipelineConfig(batch_stage4=False)``.
-- **Embedding cache** — per-slice encoder embeddings are memoised in a
-  second :class:`~repro.serve.cache.SliceGraphCache` keyed by
-  ``(address, slice_index, pipeline fingerprint : model version)``
-  (:func:`~repro.serve.store.encoder_version`), so fully warm queries
-  skip even the GNN forward and go straight to the sequence head.
-  Rebuilt slices always recompute their rows; invalidation drops graph
-  and embedding entries together.
-- **Warm persistence** — :meth:`~AddressScoringService.save_warm` /
-  :meth:`~AddressScoringService.load_warm` round-trip both caches (and
-  the coverage bookkeeping) through a
-  :class:`~repro.serve.store.CacheStore`, so a restarted replica
-  serves its first query warm instead of rebuilding the corpus.
+- **Embedding cache** — per-slice encoder embeddings are memoised in
+  each shard's embedding :class:`~repro.serve.cache.SliceGraphCache`,
+  keyed by ``(address, slice_index, pipeline fingerprint : model
+  version)`` (:func:`~repro.serve.store.encoder_version`), so fully warm
+  queries skip even the GNN forward and go straight to the sequence
+  head.  Rebuilt slices outside the trusted coverage recompute their
+  rows.
 - **Batched inference** — all slice graphs of a query are embedded in
   block-diagonal batches and the sequence head runs over padded
   sequence batches, instead of per-graph / per-address forwards.
-
-The service assumes the usual single-writer chain model: ``score`` must
-not run concurrently with block appends.
+- **Results** — :class:`AddressScore` rows, the class-name mapping and
+  the unknown-address error every entry point reports.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Mapping
-from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro import obs
-from repro.chain.block import Block
-from repro.chain.chain import Blockchain
-from repro.chain.explorer import ChainIndex
-from repro.errors import NotFittedError, ValidationError
-from repro.gnn.data import EncodedGraph, encode_graph
-from repro.graphs.pipeline import GraphConstructionPipeline
+from repro.errors import ValidationError
+from repro.gnn.data import EncodedGraph
 from repro.seqmodels.trainer import predict_proba_sequences
-from repro.serve.cache import (
-    CacheKey,
-    CacheStats,
-    SliceGraphCache,
-    embedding_cache_metrics,
-    slice_cache_metrics,
-)
-from repro.serve.store import CacheStore, WarmState, encoder_version
+from repro.serve.cache import CacheKey, SliceGraphCache
 
-__all__ = ["ScoringServiceConfig", "AddressScore", "AddressScoringService"]
-
-#: Request-level registry metrics, shared by the single service and the
-#: cluster (both funnel through ``_score_sequences``); one scoring pass
-#: == one request (the micro-batcher may merge several callers into one).
-_SERVE_REQUESTS = obs.counter("serve_requests_total")
-_SERVE_ADDRESSES = obs.counter("serve_addresses_total")
-_SERVE_SECONDS = obs.histogram("serve_request_seconds")
-
-
-@dataclass(frozen=True)
-class ScoringServiceConfig:
-    """Serving knobs, independent of the model configuration.
-
-    ``max_workers=0`` builds cache misses inline; any positive value
-    fans construction out over that many threads (each thread builds a
-    *group* of addresses through one pipeline call, so Stage 4 batches
-    across the group).  The two batch sizes bound the block-diagonal
-    GNN batches and the padded sequence batches respectively.
-    ``embedding_cache`` enables the per-slice embedding memo (its own
-    LRU with ``embedding_cache_capacity`` entries — rows are tiny, so
-    the default capacity is generous).
-    """
-
-    cache_capacity: int = 4096
-    max_workers: int = 0
-    graph_batch_size: int = 256
-    sequence_batch_size: int = 64
-    embedding_cache: bool = True
-    embedding_cache_capacity: int = 65536
-
-    def __post_init__(self) -> None:
-        if self.cache_capacity <= 0:
-            raise ValidationError(
-                f"cache_capacity must be > 0, got {self.cache_capacity}"
-            )
-        if self.max_workers < 0:
-            raise ValidationError(
-                f"max_workers must be >= 0, got {self.max_workers}"
-            )
-        if self.graph_batch_size <= 0:
-            raise ValidationError(
-                f"graph_batch_size must be > 0, got {self.graph_batch_size}"
-            )
-        if self.sequence_batch_size <= 0:
-            raise ValidationError(
-                f"sequence_batch_size must be > 0, got {self.sequence_batch_size}"
-            )
-        if self.embedding_cache_capacity <= 0:
-            raise ValidationError(
-                f"embedding_cache_capacity must be > 0, got "
-                f"{self.embedding_cache_capacity}"
-            )
+__all__ = ["AddressScore"]
 
 
 @dataclass
@@ -184,7 +80,7 @@ _UNKNOWN_PREFIX = 16
 
 
 def _unknown_addresses_error(unknown: Sequence[str]) -> ValidationError:
-    """The shared no-transactions-on-chain report (service and cluster).
+    """The no-transactions-on-chain report of every scoring entry point.
 
     Long batches are summarised rather than dumped: the message always
     carries the *total* unknown count, spells out at most
@@ -205,93 +101,6 @@ def _unknown_addresses_error(unknown: Sequence[str]) -> ValidationError:
     return ValidationError(
         f"{len(unknown)} {noun} with no transactions on chain: {detail}"
     )
-
-
-def _plan_slices(
-    cache: SliceGraphCache,
-    fingerprint: str,
-    slice_size: int,
-    address: str,
-    count: int,
-    covered: int,
-    connected: bool,
-) -> Tuple[Dict[int, EncodedGraph], List[int], int]:
-    """Split one address's slices into cache-served and to-build.
-
-    The freshness protocol shared by :class:`AddressScoringService` and
-    the cluster's shards: coverage equal to the current transaction
-    count trusts every cached slice; growth under a connected service
-    trusts the slices invalidation left intact; growth without block
-    events trusts nothing (there is no way to know where the new
-    transactions sorted into the history).  Known-stale slices are
-    counted as misses without a lookup.
-
-    Returns ``(reusable, missing, fresh_until)``.  ``fresh_until``
-    marks the trusted region: a *missing* slice below it was merely
-    evicted — its rebuild is content-identical, so derived state
-    (embedding rows) keyed to it stays valid.
-    """
-    num_slices = -(-count // slice_size)
-    if covered > count:
-        covered = 0  # not append-only growth: distrust everything
-    if covered == count:
-        fresh_until = num_slices
-    elif connected:
-        # on_block already dropped every dirtied slice (computed from
-        # where the new transactions sort in), so whatever coverage
-        # remains is exact.
-        fresh_until = covered // slice_size
-    else:
-        fresh_until = 0
-    reusable: Dict[int, EncodedGraph] = {}
-    missing: List[int] = []
-    for i in range(num_slices):
-        if i < fresh_until:
-            entry = cache.get((address, i, fingerprint))
-            if entry is not None:
-                reusable[i] = entry
-                continue
-        else:
-            cache.note_miss()
-        missing.append(i)
-    return reusable, missing, fresh_until
-
-
-def _invalidate_address(
-    cache: SliceGraphCache,
-    embeddings: Optional[SliceGraphCache],
-    covered: Dict[str, int],
-    records_for,
-    address: str,
-    earliest_new: "Optional[Tuple[float, str]]",
-    slice_size: int,
-) -> None:
-    """Drop the cached slices a block append dirties for one address.
-
-    The invalidation half of the freshness protocol, shared by the
-    single service and every cluster shard: slices before the insertion
-    point of the earliest new transaction keep their membership (so
-    ``stale_from`` is computed from where the new transactions *sort
-    into* the ``(timestamp, txid)``-ordered history); without timestamp
-    information, assume append-at-end.  Both bounds are idempotent
-    across repeated appends: already slice-aligned coverage is never
-    eroded.  Graph entries and embedding rows drop together.
-    """
-    current = covered.get(address)
-    if not current:
-        return
-    stale_from = current // slice_size
-    if earliest_new is not None:
-        position = sum(
-            1
-            for record in records_for(address)
-            if (record.timestamp, record.txid) < earliest_new
-        )
-        stale_from = min(stale_from, position // slice_size)
-    cache.invalidate_address(address, from_slice=stale_from)
-    if embeddings is not None:
-        embeddings.invalidate_address(address, from_slice=stale_from)
-    covered[address] = min(current, stale_from * slice_size)
 
 
 def _embed_entries(
@@ -343,9 +152,9 @@ def _score_sequences(
     """Shared inference tail: embed (cache-first), head, score dict.
 
     One block-diagonal GNN pass plus one padded sequence-head pass over
-    the flattened slice sequences, in input address order — the single
-    service and every cluster configuration route through this one
-    body, which is what keeps their scores identical.
+    the flattened slice sequences, in input address order — every shard
+    and worker configuration routes through this one body, which is
+    what keeps their scores identical.
     ``embedding_cache_of(address)`` supplies the owning embedding cache
     (or ``None``); ``untrusted`` lists the ``(address, slice_index)``
     pairs whose memoised rows must not be reused.
@@ -386,466 +195,3 @@ def _score_sequences(
         )
         for address, label, row in zip(addresses, labels, probabilities)
     }
-
-
-def _export_warm_state(
-    cache: SliceGraphCache,
-    embeddings: Optional[SliceGraphCache],
-    covered: Dict[str, int],
-) -> WarmState:
-    """Snapshot one cache group (a service, or one shard) for the store."""
-    return WarmState(
-        entries=[
-            (key[0], key[1], payload)
-            for key, payload in cache.export_entries()
-        ],
-        embeddings=(
-            [
-                (key[0], key[1], row)
-                for key, row in embeddings.export_entries()
-            ]
-            if embeddings is not None
-            else []
-        ),
-        covered=dict(covered),
-    )
-
-
-def _import_warm_state(
-    state: WarmState,
-    transaction_count: Callable[[str], int],
-    resolve: Callable[
-        [str],
-        Optional[
-            Tuple[SliceGraphCache, Optional[SliceGraphCache], Dict[str, int]]
-        ],
-    ],
-    fingerprint: str,
-    embedding_fingerprint: str,
-) -> int:
-    """Import one warm bundle into live caches; returns entries restored.
-
-    Only addresses whose *current* transaction count still equals the
-    bundle's recorded coverage are trusted — growth while the replica
-    was down means unobserved appends, so those addresses rebuild cold.
-    ``resolve`` maps an address to its owning ``(slice cache, embedding
-    cache, covered dict)`` (``None`` to skip — the cluster's router
-    drops addresses belonging to no local shard).  The returned count
-    covers entries still *live* after the import: a bundle larger than
-    the target cache's capacity evicts its own oldest entries, which
-    must not be reported as restored.
-    """
-    trusted = {
-        address
-        for address, count in state.covered.items()
-        if count == transaction_count(address)
-    }
-    imported: List[Tuple[SliceGraphCache, CacheKey]] = []
-    for address, slice_index, payload in state.entries:
-        if address not in trusted:
-            continue
-        target = resolve(address)
-        if target is None:
-            continue
-        key = (address, slice_index, fingerprint)
-        target[0].put(key, payload)
-        imported.append((target[0], key))
-    for address, slice_index, row in state.embeddings:
-        if address not in trusted:
-            continue
-        target = resolve(address)
-        if target is None or target[1] is None:
-            continue
-        target[1].put((address, slice_index, embedding_fingerprint), row)
-    for address in trusted:
-        target = resolve(address)
-        if target is not None:
-            target[2][address] = state.covered[address]
-    return sum(1 for cache, key in imported if key in cache)
-
-
-class AddressScoringService:
-    """Serve ``score(addresses)`` queries over a fitted classifier.
-
-    Parameters
-    ----------
-    classifier:
-        A fitted :class:`~repro.core.BAClassifier` (trained or loaded).
-    index:
-        The chain index to read transaction histories from.
-    chain:
-        Optional chain to subscribe to for incremental invalidation;
-        equivalent to calling :meth:`connect` afterwards.
-    class_names:
-        Optional ``{label: name}`` mapping (or label-indexed sequence)
-        for human-readable results.
-    """
-
-    def __init__(
-        self,
-        classifier,
-        index: ChainIndex,
-        chain: Optional[Blockchain] = None,
-        config: Optional[ScoringServiceConfig] = None,
-        class_names: "Union[Mapping[int, str], Sequence[str], None]" = None,
-    ):
-        if not getattr(classifier, "is_fitted", False):
-            raise NotFittedError(
-                "AddressScoringService needs a fitted (or loaded) classifier"
-            )
-        self.classifier = classifier
-        self.index = index
-        self.config = config or ScoringServiceConfig()
-        self.pipeline_config = classifier.config.pipeline_config()
-        self.fingerprint = self.pipeline_config.fingerprint()
-        self.pipeline = GraphConstructionPipeline(self.pipeline_config)
-        self.cache: SliceGraphCache[EncodedGraph] = SliceGraphCache(
-            self.config.cache_capacity, metrics=slice_cache_metrics()
-        )
-        #: Digest of the encoder weights — keys the embedding cache and
-        #: the warm store, so entries never outlive a retrain.
-        self.model_version = encoder_version(classifier.encoder)
-        #: Fingerprint component of embedding-cache keys: construction
-        #: parameters *and* encoder version.
-        self.embedding_fingerprint = (
-            f"{self.fingerprint}:{self.model_version}"
-        )
-        self.embeddings: Optional[SliceGraphCache[np.ndarray]] = (
-            SliceGraphCache(
-                self.config.embedding_cache_capacity,
-                metrics=embedding_cache_metrics(),
-            )
-            if self.config.embedding_cache
-            else None
-        )
-        self.class_names: Dict[int, str] = _class_name_mapping(class_names)
-        #: Transaction count each address's cached slices were built from.
-        self._covered: Dict[str, int] = {}
-        self._timer_lock = threading.Lock()
-        self._chain: Optional[Blockchain] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        if chain is not None:
-            self.connect(chain)
-
-    # ------------------------------------------------------------------ #
-    # Chain integration
-    # ------------------------------------------------------------------ #
-
-    def connect(self, chain: Blockchain) -> None:
-        """Subscribe to ``chain`` so future appends invalidate the cache.
-
-        Block events are what let the service locate exactly which
-        cached slices an append dirties; an unconnected service stays
-        correct by fully rebuilding any address whose transaction count
-        grew (see :meth:`score`), at the cost of incrementality.
-        Coverage accumulated while *not* listening cannot be trusted
-        (appends may have gone unobserved), so connecting drops any
-        existing cache contents.  Connecting to the chain already
-        listened to is a no-op — every append since the original
-        ``connect`` was observed, so the warm cache stays valid.
-        Re-connecting to a *different* chain first detaches the previous
-        subscription.
-        """
-        if self._chain is chain:
-            return
-        if self._chain is not None:
-            self.disconnect()
-        if self._covered:
-            self.cache.clear()
-            if self.embeddings is not None:
-                self.embeddings.clear()
-            self._covered.clear()
-        chain.add_listener(self.on_block)
-        self._chain = chain
-
-    def disconnect(self) -> None:
-        """Unsubscribe from the connected chain (no-op when unconnected).
-
-        Call when retiring a service so the chain no longer holds a
-        reference to it (and to its cache) through the listener list.
-        """
-        if self._chain is not None:
-            self._chain.remove_listener(self.on_block)
-        self._chain = None
-
-    def close(self) -> None:
-        """Release resources: detach from the chain and stop workers."""
-        self.disconnect()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def on_block(self, block: Block) -> None:
-        """Invalidate the cached slices the new block actually dirties.
-
-        Slice membership is decided by chronological ``(timestamp,
-        txid)`` order, and a transaction mined in this block may carry a
-        timestamp older than already-sliced history (e.g. created early,
-        mined late) — so the first stale slice is computed from where
-        the block's transactions *sort into* each address's history, not
-        from the end of it.  Slices strictly before that insertion point
-        are untouched and stay cached.
-        """
-        new_by_address: Dict[str, List[Tuple[float, str]]] = {}
-        for tx in block.transactions:
-            for address in tx.addresses():
-                new_by_address.setdefault(address, []).append(
-                    (tx.timestamp, tx.txid)
-                )
-        for address, keys in new_by_address.items():
-            self._invalidate(address, earliest_new=min(keys))
-
-    def _invalidate(
-        self, address: str, earliest_new: Optional[Tuple[float, str]] = None
-    ) -> None:
-        _invalidate_address(
-            self.cache,
-            self.embeddings,
-            self._covered,
-            self.index.records_for,
-            address,
-            earliest_new,
-            self.pipeline_config.slice_size,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Scoring
-    # ------------------------------------------------------------------ #
-
-    def score(self, addresses: Sequence[str]) -> Dict[str, AddressScore]:
-        """Score addresses: ``{address: AddressScore}`` in input order.
-
-        Raises :class:`~repro.errors.ValidationError` when any address
-        has no transactions on chain (callers should pre-filter, as the
-        CLI does).
-        """
-        addresses = list(dict.fromkeys(addresses))
-        if not addresses:
-            return {}
-        start = time.perf_counter()
-        with obs.span("serve.score"):
-            _SERVE_REQUESTS.inc()
-            _SERVE_ADDRESSES.inc(len(addresses))
-            unknown = [
-                a for a in addresses if self.index.transaction_count(a) == 0
-            ]
-            if unknown:
-                raise _unknown_addresses_error(unknown)
-            sequences_by_address, untrusted = self._encoded_sequences(
-                addresses
-            )
-            result = _score_sequences(
-                self.classifier,
-                addresses,
-                sequences_by_address,
-                untrusted,
-                lambda address: self.embeddings,
-                self.embedding_fingerprint,
-                self.config.graph_batch_size,
-                self.config.sequence_batch_size,
-                self.class_names,
-            )
-        _SERVE_SECONDS.observe(time.perf_counter() - start)
-        self.cache.flush_metrics()
-        if self.embeddings is not None:
-            self.embeddings.flush_metrics()
-        return result
-
-    def score_one(self, address: str) -> AddressScore:
-        """Score a single address."""
-        return self.score([address])[address]
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    @property
-    def stats(self) -> CacheStats:
-        """The cache's running hit/miss/eviction/invalidation counters."""
-        return self.cache.stats
-
-    @property
-    def embedding_stats(self) -> Optional[CacheStats]:
-        """Counters of the embedding cache (None when disabled)."""
-        return self.embeddings.stats if self.embeddings is not None else None
-
-    def construction_report(self) -> List[Dict[str, float]]:
-        """Per-stage construction cost accumulated across cache misses."""
-        return self.pipeline.stage_report()
-
-    # ------------------------------------------------------------------ #
-    # Warm persistence
-    # ------------------------------------------------------------------ #
-
-    def save_warm(self, directory: "str | Path", name: str = "service") -> Path:
-        """Persist the warm caches under ``directory``; returns the path.
-
-        Writes one :class:`~repro.serve.store.CacheStore` bundle — the
-        slice-graph cache (including memoised model features), the
-        embedding cache, and the per-address coverage counts — keyed by
-        this service's ``(pipeline fingerprint, model version)``, so a
-        store can never warm a replica running different construction
-        parameters or encoder weights.
-        """
-        store = CacheStore(directory, self.fingerprint, self.model_version)
-        return store.save_warm(
-            name,
-            _export_warm_state(self.cache, self.embeddings, self._covered),
-        )
-
-    def load_warm(self, directory: "str | Path") -> int:
-        """Restore warm caches saved under ``directory``.
-
-        Loads every bundle stored under this service's ``(pipeline
-        fingerprint, model version)`` key — including per-shard bundles
-        written by a scoring cluster — and imports the entries of every
-        address whose current transaction count still equals the
-        recorded coverage (others rebuild cold; see
-        :mod:`repro.serve.store`).  A bundle that fails to load —
-        corrupt, truncated by a crashed save — is skipped, so an
-        unusable store degrades to a cold start instead of a crashed
-        one.  Call *after* :meth:`connect`: connecting drops existing
-        coverage by design.  Returns the number of slice entries
-        restored.
-        """
-        store = CacheStore(directory, self.fingerprint, self.model_version)
-        restored = 0
-        for name in store.bundle_names():
-            try:
-                state = store.load_warm(name)
-            except ValidationError:
-                continue  # unusable bundle: rebuild cold
-            if state is None:
-                continue
-            restored += _import_warm_state(
-                state,
-                self.index.transaction_count,
-                lambda address: (self.cache, self.embeddings, self._covered),
-                self.fingerprint,
-                self.embedding_fingerprint,
-            )
-        return restored
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-
-    def _encoded_sequences(
-        self, addresses: Sequence[str]
-    ) -> Tuple[Dict[str, List[EncodedGraph]], Set[Tuple[str, int]]]:
-        """Slice-ordered encoded graphs per address, cache-first.
-
-        Returns the sequences plus the set of ``(address, slice_index)``
-        pairs whose memoised embedding rows are stale: slices rebuilt
-        because they fell *outside* the trusted coverage region.  A
-        trusted slice rebuilt only because the LRU evicted it is
-        content-identical, so its embedding row stays reusable.
-        """
-        slice_size = self.pipeline_config.slice_size
-        reusable: Dict[str, Dict[int, EncodedGraph]] = {}
-        missing: Dict[str, List[int]] = {}
-        counts: Dict[str, int] = {}
-        fresh_until: Dict[str, int] = {}
-        with obs.span("serve.plan"):
-            for address in addresses:
-                count = self.index.transaction_count(address)
-                counts[address] = count
-                reusable[address], missing[address], fresh_until[address] = (
-                    _plan_slices(
-                        self.cache,
-                        self.fingerprint,
-                        slice_size,
-                        address,
-                        count,
-                        self._covered.get(address, 0),
-                        self._chain is not None,
-                    )
-                )
-
-        to_build = {a: idxs for a, idxs in missing.items() if idxs}
-        built: Dict[str, List[EncodedGraph]] = {}
-        with obs.span("serve.build"):
-            if self.config.max_workers > 0 and len(to_build) > 1:
-                # One long-lived pool per service: per-call executor setup
-                # is measurable against small warm queries.  Addresses are
-                # grouped into one task per worker so each worker's
-                # pipeline call batches Stage 4 across its whole group, not
-                # per address.
-                if self._executor is None:
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self.config.max_workers
-                    )
-                groups: List[Dict[str, List[int]]] = [
-                    {}
-                    for _ in range(
-                        min(self.config.max_workers, len(to_build))
-                    )
-                ]
-                for i, (address, idxs) in enumerate(to_build.items()):
-                    groups[i % len(groups)][address] = idxs
-                context = obs.current_context()
-                futures = [
-                    self._executor.submit(
-                        self._build_addresses, group, context
-                    )
-                    for group in groups
-                ]
-                for future in futures:
-                    built.update(future.result())
-            elif to_build:
-                built = self._build_addresses(to_build)
-
-        untrusted: Set[Tuple[str, int]] = set()
-        sequences: Dict[str, List[EncodedGraph]] = {}
-        with obs.span("serve.commit"):
-            for address in addresses:
-                by_slice = dict(reusable[address])
-                for graph in built.get(address, ()):
-                    key = (address, graph.slice_index, self.fingerprint)
-                    self.cache.put(key, graph)
-                    by_slice[graph.slice_index] = graph
-                    if graph.slice_index >= fresh_until[address]:
-                        untrusted.add((address, graph.slice_index))
-                sequences[address] = [by_slice[i] for i in sorted(by_slice)]
-                self._covered[address] = counts[address]
-        return sequences, untrusted
-
-    def _build_addresses(
-        self,
-        requests: Dict[str, List[int]],
-        context: "Optional[Tuple[str, str]]" = None,
-    ) -> Dict[str, List[EncodedGraph]]:
-        """Build + encode missing slices of many addresses at once.
-
-        The miss-path task body (the whole query on the single-threaded
-        path, one address group per worker on the threaded path): one
-        :meth:`~repro.graphs.pipeline.GraphConstructionPipeline.build_many_slices`
-        call, so the Stage-4 centrality sweep is block-diagonal across
-        every address of the call.  Uses a private pipeline so workers
-        never share a timer; accumulations merge back under a lock,
-        keeping :meth:`construction_report` accounting identical
-        between paths.  ``context`` re-parents the task's spans under
-        the request span when the task runs on an executor thread
-        (contextvars do not cross threads by themselves).
-        """
-        if context is not None:
-            with obs.span_from_context("serve.build_task", context):
-                return self._build_addresses_spanned(requests)
-        with obs.span("serve.build_task"):
-            return self._build_addresses_spanned(requests)
-
-    def _build_addresses_spanned(
-        self, requests: Dict[str, List[int]]
-    ) -> Dict[str, List[EncodedGraph]]:
-        """The :meth:`_build_addresses` body, run under its task span."""
-        pipeline = GraphConstructionPipeline(self.pipeline_config)
-        graphs_by_address = pipeline.build_many_slices(
-            self.index, requests
-        )
-        encoded = {
-            address: [encode_graph(graph) for graph in graphs]
-            for address, graphs in graphs_by_address.items()
-        }
-        with self._timer_lock:
-            self.pipeline.timer.merge(pipeline.timer)
-        return encoded

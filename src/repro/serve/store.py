@@ -21,11 +21,10 @@ plain ndarray columns so a replica can come back *warm*:
   is flattened to its columns (features, CSR adjacency triple, and the
   memoised model-cache arrays such as GFN's propagated features);
   embedding rows are stacked into one matrix.
-- **Bundles.**  A store holds one bundle per shard (the cluster layer
-  names them ``shard_0000`` …) or a single ``service`` bundle; loaders
-  iterate every bundle and re-route entries through their own shard
-  router, so a store written by an N-shard cluster can warm an M-shard
-  cluster or an unsharded service.
+- **Bundles.**  A store holds one bundle per shard (the serving layer
+  names them ``shard_0000`` …); loaders iterate every bundle, whatever
+  its name, and re-route entries through their own shard router, so a
+  store written by an N-shard service can warm an M-shard one.
 - **Trust.**  Each bundle records the transaction count every cached
   address was built at (``covered``).  Loading only trusts an address
   whose *current* on-chain count still equals the recorded one — any

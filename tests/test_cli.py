@@ -32,7 +32,7 @@ class TestParser:
         assert args.cache_capacity == 64
         assert args.stats is True
         assert args.addresses == ["addr1", "addr2"]
-        assert args.shards == 0  # unsharded by default
+        assert args.shards == 1  # one shard by default
         assert args.warm_dir is None
 
     def test_score_cluster_args(self):
@@ -45,15 +45,6 @@ class TestParser:
         assert args.workers == 2
         assert args.warm_dir == "/tmp/warm"
         assert args.store_dir == "/tmp/chain_store"
-
-    def test_store_dir_requires_shards(self, capsys):
-        """--store-dir backs cluster shards; unsharded use exits 2
-        before touching the world or model paths."""
-        assert main(
-            ["score", "--world", "w", "--model", "m",
-             "--store-dir", "/tmp/chain_store", "addr1"]
-        ) == 2
-        assert "--store-dir requires --shards" in capsys.readouterr().err
 
     def test_score_obs_args(self):
         args = build_parser().parse_args(
@@ -220,6 +211,20 @@ class TestEndToEnd:
         output = capsys.readouterr().out
         assert known in output
         assert (store_dir / "manifest.json").exists()
+
+        # The default single shard takes a chain store as well.
+        single_store_dir = tmp_path / "single_chain_store"
+        assert main(
+            [
+                "score", "--world", str(world_dir),
+                "--model", str(model_dir),
+                "--store-dir", str(single_store_dir), "--stats", known,
+            ]
+        ) == 0
+        output = capsys.readouterr().out
+        assert known in output
+        assert "shard 0:" in output and "shard 1:" not in output
+        assert (single_store_dir / "manifest.json").exists()
 
     def test_score_exports_stats_and_traces(
         self, world_dir, tmp_path, capsys

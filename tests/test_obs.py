@@ -25,8 +25,8 @@ from repro.obs.metrics import (
     render_prometheus,
 )
 from repro.obs.tracing import Tracer
+from repro.serve import AddressScoringService
 from repro.serve.cluster import ClusterConfig, ClusterScoringService
-from repro.serve.service import AddressScoringService
 from repro.testing import append_self_spend, random_chain
 
 SLICE_SIZE = 4

@@ -338,23 +338,6 @@ class TestScoringService:
                 atol=1e-9,
             )
 
-    def test_worker_pool_matches_inline(self, setup):
-        _, _, addresses = setup
-        _, inline = _service(setup)
-        _, pooled = _service(
-            setup, config=ScoringServiceConfig(max_workers=4)
-        )
-        a = inline.score(addresses)
-        b = pooled.score(addresses)
-        for address in addresses:
-            np.testing.assert_allclose(
-                a[address].probabilities,
-                b[address].probabilities,
-                rtol=0,
-                atol=0,
-            )
-        assert pooled.stats.misses == inline.stats.misses
-
     def test_warm_results_stable(self, setup):
         _, _, addresses = setup
         _, service = _service(setup)
@@ -481,11 +464,11 @@ class TestInvalidation:
             a for a in addresses if chain.utxo_set.balance_of(a) > 0
         )
         _append_self_spend(chain, target)
-        covered_after_first = service._covered[target]
+        covered_after_first = service.shards[0].covered[target]
         cached_after_first = len(service.cache)
         for _ in range(3):  # further appends: nothing more to drop
             _append_self_spend(chain, target)
-        assert service._covered[target] == covered_after_first
+        assert service.shards[0].covered[target] == covered_after_first
         assert len(service.cache) == cached_after_first
 
     def test_old_timestamp_tx_invalidates_interior_slices(self, setup):
@@ -592,17 +575,6 @@ class TestInvalidation:
         after = service.stats.snapshot()
         assert after["misses"] == before["misses"]  # served fully warm
         service.disconnect()
-
-    def test_close_releases_worker_pool(self, setup):
-        _, _, addresses = setup
-        _, service = _service(
-            setup, config=ScoringServiceConfig(max_workers=2)
-        )
-        service.score(addresses)
-        assert service._executor is not None  # pool kept for reuse
-        service.close()
-        assert service._executor is None
-        service.close()  # idempotent
 
     def test_cache_byte_accounting_with_encoded_entries(self, setup):
         """The service's encoded entries are byte-accounted end to end:

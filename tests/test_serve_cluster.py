@@ -21,7 +21,10 @@ correctness does not depend on model quality.
 
 import asyncio
 import multiprocessing
+import os
+import signal
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +39,11 @@ from repro.serve import (
     ShardRouter,
     WarmState,
     encoder_version,
+)
+from repro.serve.cluster import (
+    _JOIN_TIMEOUT_SECONDS,
+    _ShardMembership,
+    _WorkerPool,
 )
 from repro.testing import append_self_spend, random_chain
 
@@ -143,7 +151,7 @@ class TestShardRouter:
 class TestClusterParity:
     @pytest.mark.parametrize(
         "num_shards,num_workers",
-        [(1, 0), (2, 0), (3, 0), (2, 2), (3, 2)],
+        [(1, 0), (2, 0), (3, 0), (1, 2), (2, 2), (3, 2)],
     )
     def test_matches_single_service(
         self, economy, num_shards, num_workers
@@ -655,3 +663,42 @@ class TestClusterInvalidation:
             cluster.connect(chain)  # same-chain reconnect: no-op
         finally:
             cluster.close()
+
+
+class TestWorkerPoolFaults:
+    def test_dead_worker_fails_build_under_traffic(self, economy):
+        """A killed worker's in-flight build fails within about a poll
+        interval even while the other worker keeps results streaming
+        in — liveness checks must not wait for a quiet result queue."""
+        _, index, addresses, classifier, _ = economy
+        router = ShardRouter(2)
+        pool = _WorkerPool(
+            2,
+            [
+                index.sharded(_ShardMembership(router, shard_id))
+                for shard_id in range(2)
+            ],
+            classifier.config.pipeline_config(),
+            None,
+            multiprocessing.get_context("fork"),
+        )
+        try:
+            victim = pool._processes[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            assert not victim.is_alive()
+            doomed = pool.submit(0, {})
+            member = next(a for a in addresses if router.shard_of(a) == 1)
+            start = time.monotonic()
+            while not doomed.done() and time.monotonic() - start < 3.0:
+                pool.submit(1, {member: [0]}).result(timeout=10)
+            assert doomed.done(), "dead worker's build never failed"
+            assert time.monotonic() - start < 2.0
+            with pytest.raises(RuntimeError, match="died"):
+                doomed.result(timeout=0)
+        finally:
+            started = time.monotonic()
+            pool.shutdown()
+        assert time.monotonic() - started < _JOIN_TIMEOUT_SECONDS
+        assert not pool._collector.is_alive()
+        assert not any(p.is_alive() for p in pool._processes)

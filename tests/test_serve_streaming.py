@@ -254,49 +254,51 @@ class TestPerShardLocking:
 class TestMicroBatching:
     def test_batched_scores_match_serial(self, economy):
         """Concurrent requests coalesce into fewer merged passes whose
-        per-request results equal serial scoring to 1e-9."""
+        per-request results equal serial scoring to 1e-9, on one shard
+        and on two."""
         _, _, addresses, _, _ = economy
-        cluster = _cluster(
-            economy,
-            num_shards=2,
-            num_workers=0,
-            micro_batch=True,
-            micro_batch_window=0.2,
-        )
-        try:
-            serial = cluster.score(addresses)
-            half = len(addresses) // 2
-            requests = [
-                list(addresses),
-                list(addresses[:half]),
-                list(addresses[half:]),
-                [addresses[0], addresses[-1]],
-            ]
-
-            async def fan_out():
-                return await asyncio.gather(
-                    *(cluster.async_score(r) for r in requests)
-                )
-
-            results = asyncio.run(fan_out())
-            for request, scores in zip(requests, results):
-                assert sorted(scores) == sorted(set(request))
-                for address in request:
-                    np.testing.assert_allclose(
-                        scores[address].probabilities,
-                        serial[address].probabilities,
-                        rtol=1e-9,
-                        atol=1e-9,
-                    )
-            stats = cluster.micro_batch_stats()
-            assert stats["requests"] == len(requests)
-            assert stats["batched_requests"] == len(requests)
-            assert stats["batches"] < len(requests), (
-                "no coalescing happened inside a 200ms window"
+        for num_shards in (1, 2):
+            cluster = _cluster(
+                economy,
+                num_shards=num_shards,
+                num_workers=0,
+                micro_batch=True,
+                micro_batch_window=0.2,
             )
-            assert stats["max_batch"] >= 2
-        finally:
-            cluster.close()
+            try:
+                serial = cluster.score(addresses)
+                half = len(addresses) // 2
+                requests = [
+                    list(addresses),
+                    list(addresses[:half]),
+                    list(addresses[half:]),
+                    [addresses[0], addresses[-1]],
+                ]
+
+                async def fan_out():
+                    return await asyncio.gather(
+                        *(cluster.async_score(r) for r in requests)
+                    )
+
+                results = asyncio.run(fan_out())
+                for request, scores in zip(requests, results):
+                    assert sorted(scores) == sorted(set(request))
+                    for address in request:
+                        np.testing.assert_allclose(
+                            scores[address].probabilities,
+                            serial[address].probabilities,
+                            rtol=1e-9,
+                            atol=1e-9,
+                        )
+                stats = cluster.micro_batch_stats()
+                assert stats["requests"] == len(requests)
+                assert stats["batched_requests"] == len(requests)
+                assert stats["batches"] < len(requests), (
+                    "no coalescing happened inside a 200ms window"
+                )
+                assert stats["max_batch"] >= 2
+            finally:
+                cluster.close()
 
     def test_unknown_request_fails_alone(self, economy):
         """A request naming unknown addresses fails with the shared
