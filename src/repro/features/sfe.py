@@ -133,7 +133,10 @@ def sfe_matrix(bags: Sequence[Iterable[float]]) -> np.ndarray:
     Row ``i`` equals ``sfe_vector(bags[i])`` up to floating-point
     summation order (segmented ``reduceat`` reductions accumulate
     sequentially where :func:`numpy.sum` is pairwise; the test suite
-    bounds the drift at 1e-9 relative).  Empty bags map to zero rows.
+    bounds the drift at 1e-9 relative).  Bags whose values cancel are
+    summed in :func:`numpy.sum`'s order, since there the order decides
+    the mean, and the coefficient of variation divides by it.  Empty
+    bags map to zero rows.
     Work is one ``O(N log N)`` sort of the concatenated bags plus a
     fixed number of ``O(N)`` segmented reductions, replacing a Python
     loop of per-bag :func:`sfe_vector` calls.
@@ -185,6 +188,18 @@ def sfe_matrix_segments(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     maximum = np.maximum.reduceat(flat, starts)
     minimum = np.minimum.reduceat(flat, starts)
     total = np.add.reduceat(flat, starts)
+    # A bag whose values cancel has a sum whose leading digits depend on
+    # summation order, and cv = std / |mean| magnifies them without
+    # bound.  Where the sum is within 2e10 rounding-error bounds of
+    # zero, re-sum in sfe_vector's (pairwise) order so both kernels
+    # agree; same-signed bags (every transferred amount) never qualify.
+    rounding = (
+        np.finfo(np.float64).eps
+        * (seg_lengths - 1)
+        * np.add.reduceat(np.abs(flat), starts)
+    )
+    for i in np.flatnonzero(np.abs(total) < 2e10 * rounding):
+        total[i] = flat[starts[i] : starts[i] + seg_lengths[i]].sum()
     count = seg_lengths.astype(np.float64)
     mean = total / count
 

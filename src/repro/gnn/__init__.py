@@ -6,7 +6,13 @@ All three share the :class:`~repro.gnn.base.GraphClassifier` interface
 """
 
 from repro.gnn.base import GraphClassifier
-from repro.gnn.data import EncodedGraph, GraphBatch, encode_graph, encode_sequences
+from repro.gnn.data import (
+    EncodedGraph,
+    GraphBatch,
+    encode_graph,
+    encode_graphs,
+    encode_sequences,
+)
 from repro.gnn.diffpool import DiffPool
 from repro.gnn.gcn import GCN
 from repro.gnn.gfn import GFN, augment_features
@@ -23,6 +29,7 @@ __all__ = [
     "EncodedGraph",
     "GraphBatch",
     "encode_graph",
+    "encode_graphs",
     "encode_sequences",
     "DiffPool",
     "GCN",

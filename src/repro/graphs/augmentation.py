@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import List, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graphs.arrays import ArrayGraph
 from repro.graphs.batched_centrality import (
@@ -37,6 +36,7 @@ from repro.graphs.batched_centrality import (
     plan_packs,
 )
 from repro.graphs.centrality import centrality_matrix_csr
+from repro.graphs.matrices import packed_adjacency
 from repro.graphs.model import AddressGraph
 
 __all__ = ["augment_graph", "augment_graphs"]
@@ -90,43 +90,11 @@ def augment_graphs(
     # graph no longer serializes a chunk of small ones (see plan_packs).
     for pack in plan_packs(sizes, max_batch_nodes):
         chunk = [candidates[i] for i in pack]
-        packed, offsets = _packed_adjacency(chunk)
+        packed, offsets = packed_adjacency(chunk)
         stacked = centrality_matrix_block_diagonal(packed, offsets)
         for graph, lo, hi in zip(chunk, offsets[:-1], offsets[1:]):
             _attach(graph, stacked[int(lo) : int(hi)].copy())
     return graphs
-
-
-def _packed_adjacency(
-    graphs: Sequence[AnyGraph],
-) -> "tuple[sp.csr_matrix, np.ndarray]":
-    """Block-diagonal symmetric adjacency straight from edge columns.
-
-    One COO→CSR conversion for the whole chunk instead of one per
-    graph; each diagonal block is structurally identical to the graph's
-    own ``adjacency_matrix()`` (deduplicated, all-ones data).
-    """
-    offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
-    np.cumsum([graph.num_nodes for graph in graphs], out=offsets[1:])
-    total = int(offsets[-1])
-    src_parts: List[np.ndarray] = []
-    dst_parts: List[np.ndarray] = []
-    for graph, offset in zip(graphs, offsets[:-1]):
-        if graph.num_edges == 0:
-            continue
-        src, dst = graph.edge_arrays()
-        src_parts.append(src + offset)
-        dst_parts.append(dst + offset)
-    if not src_parts:
-        return sp.csr_matrix((total, total), dtype=np.float64), offsets
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    rows = np.concatenate([src, dst])
-    cols = np.concatenate([dst, src])
-    data = np.ones(rows.size, dtype=np.float64)
-    matrix = sp.csr_matrix((data, (rows, cols)), shape=(total, total))
-    matrix.data[:] = 1.0  # collapse parallel edges
-    return matrix, offsets
 
 
 def _attach(graph: AnyGraph, matrix: np.ndarray) -> None:

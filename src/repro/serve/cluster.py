@@ -23,7 +23,9 @@ forward per graph; the service instead:
 - **Builds misses in batches.**  Every miss path routes through
   :meth:`~repro.graphs.pipeline.GraphConstructionPipeline.build_many_slices`,
   one call per shard with misses, so the Stage-4 centrality kernels run
-  as block-diagonal sweeps over every address of the call.  With
+  as block-diagonal sweeps over every address of the call, and the
+  call's graphs are encoded in one more sweep
+  (:func:`~repro.gnn.data.encode_graphs`).  With
   ``num_workers == 0`` the parent builds inline; otherwise the calls fan
   out over a pool of *long-lived* ``multiprocessing`` workers
   (:class:`_WorkerPool`, :func:`~repro.graphs.pipeline.worker_build_slices`)
@@ -94,7 +96,7 @@ from repro.chain.chain import Blockchain
 from repro.chain.explorer import ChainIndex
 from repro.chain.store import ChainStore, StoreBackedChainIndex
 from repro.errors import NotFittedError, ValidationError
-from repro.gnn.data import EncodedGraph, encode_graph
+from repro.gnn.data import EncodedGraph, encode_sequences
 from repro.gnn.gfn import augment_features
 from repro.graphs.pipeline import (
     GraphConstructionPipeline,
@@ -698,13 +700,11 @@ def _worker_main(
                 graphs_by_address, timer = worker_build_slices(
                     index, dict(requests), pipeline_config
                 )
-                encoded: Dict[str, List[EncodedGraph]] = {}
-                for address, graphs in graphs_by_address.items():
-                    rows = [encode_graph(graph) for graph in graphs]
-                    if gfn_k is not None:
+                encoded = encode_sequences(graphs_by_address)
+                if gfn_k is not None:
+                    for rows in encoded.values():
                         for row in rows:
                             augment_features(row, gfn_k)
-                    encoded[address] = rows
             results.put(
                 (seq, encoded, timer, None, obs.drain_for_shipping())
             )
@@ -1618,10 +1618,7 @@ class ClusterScoringService:
                     graphs_by_address = pipeline.build_many_slices(
                         shard.index, requests
                     )
-                for address, graphs in graphs_by_address.items():
-                    built[address] = [
-                        encode_graph(graph) for graph in graphs
-                    ]
+                built.update(encode_sequences(graphs_by_address))
                 shard.merge_timer(pipeline.timer)
         return built
 

@@ -279,7 +279,11 @@ class CacheStore:
             for address, count in manifest.get("covered", {}).items()
         })
         try:
-            with np.load(arrays_path, allow_pickle=False) as arrays:
+            # np.load does not close a file it opened when the zip
+            # directory is unreadable, so the handle is owned here.
+            with open(arrays_path, "rb") as handle, np.load(
+                handle, allow_pickle=False
+            ) as arrays:
                 token = manifest.get("token")
                 if token is not None:
                     stored = bytes(arrays["__token__"]).hex()

@@ -20,11 +20,13 @@ correctness does not depend on model quality.
 """
 
 import asyncio
+import gc
 import multiprocessing
 import os
 import signal
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -521,6 +523,20 @@ class TestWarmStore:
         manifest.write_text(text)
         with pytest.raises(ValidationError):
             other.load_warm("service")
+
+    def test_truncated_bundle_closes_its_file(self, tmp_path):
+        """A torn npz must fail the load *and* release its file handle:
+        any ResourceWarning (an unclosed file) fails the test."""
+        store = CacheStore(tmp_path, "fp-a", "v-a")
+        path = store.save_warm("service", WarmState(covered={"a": 1}))
+        path.write_bytes(path.read_bytes()[:64])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ValidationError):
+                store.load_warm("service")
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
 
 class TestClusterInvalidation:

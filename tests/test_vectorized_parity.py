@@ -12,7 +12,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.chain import (
     AddressFactory,
@@ -339,6 +339,11 @@ class TestFeatureParity:
         )
     )
     @settings(max_examples=60, deadline=None)
+    # Cancelling bags: the sum's leading digits depend on summation
+    # order, and cv divides by the mean.
+    @example([[1.9998779296875, -1.9998779296875, 1.3898330259562905e-37]])
+    @example([[1.0, -1.0, 1e-10], [1.0, 99511627776.0, 999999999999.861,
+                                   -1.0, -99511627776.0, -999999999999.861]])
     def test_sfe_matrix_matches_sfe_vector(self, bags):
         matrix = sfe_matrix(bags)
         assert matrix.shape == (len(bags), 15)
