@@ -158,7 +158,7 @@ def _stage4_speedup():
     return rows, reference_total / vectorized_total
 
 
-def _stage4_batch_comparison(graphs, max_batch_nodes):
+def _stage4_batch_comparison(graphs):
     """Batched vs per-graph Stage 4 over the run's real slice graphs.
 
     Re-augments the already-built graphs both ways (augmentation is a
@@ -173,7 +173,7 @@ def _stage4_batch_comparison(graphs, max_batch_nodes):
     expected = [graph.centrality.copy() for graph in graphs]
 
     start = time.perf_counter()
-    augment_graphs(graphs, max_batch_nodes=max_batch_nodes)
+    augment_graphs(graphs)
     batched_seconds = time.perf_counter() - start
     for graph, reference in zip(graphs, expected):
         np.testing.assert_allclose(
@@ -257,9 +257,7 @@ def test_bench_pipeline_throughput():
         for graph in graphs_by_address[address]
     ]
     stage4_per_graph_seconds, stage4_batched_seconds = (
-        _stage4_batch_comparison(
-            flat_graphs, config.stage4_max_batch_nodes
-        )
+        _stage4_batch_comparison(flat_graphs)
     )
     stage4_batch_speedup = stage4_per_graph_seconds / stage4_batched_seconds
     if MIN_STAGE4_BATCH_SPEEDUP is not None:

@@ -10,12 +10,18 @@ Two entry points cover the two serving regimes:
 - :func:`augment_graph` runs the centralities on one graph's CSR
   adjacency (:func:`repro.graphs.centrality.centrality_matrix_csr`).
 - :func:`augment_graphs` — the pipeline's default Stage-4 path — packs a
-  whole batch of slice graphs into block-diagonal CSR chunks and runs
-  each kernel once per chunk
-  (:mod:`repro.graphs.batched_centrality`), amortising per-graph
-  scipy/Python overhead across the batch.  Results are identical: a
-  batch of one is bit-for-bit the per-graph path, mixed batches are
-  pinned to 1e-9 parity.
+  whole batch of slice graphs into block-diagonal CSR chunks of at most
+  ``DEFAULT_MAX_BATCH_NODES`` (1024) nodes and runs each kernel once
+  per chunk (:mod:`repro.graphs.batched_centrality`), amortising
+  per-graph scipy/Python overhead across the batch.  Results are
+  identical: a batch of one is bit-for-bit the per-graph path, mixed
+  batches are pinned to 1e-9 parity.
+
+Both paths solve PageRank (Eq. 11) exactly rather than iterating it:
+:func:`~repro.graphs.centrality.pagerank_exact` solves every graph of
+up to ``PAGERANK_DENSE_MAX_NODES`` (256) nodes as a dense linear
+system, one stacked solve per node count, and iterates only larger
+graphs.
 
 On the columnar :class:`~repro.graphs.arrays.ArrayGraph` substrate the
 whole ``(num_nodes, 4)`` float64 matrix is attached as the graph's
@@ -70,12 +76,12 @@ def augment_graphs(
     default Stage-4 path (``GraphPipelineConfig.batch_stage4``): edge
     columns of up to ``max_batch_nodes`` nodes' worth of graphs are
     concatenated with per-graph node offsets into one block-diagonal
-    CSR, the closeness/Brandes/PageRank kernels run once per chunk, and
-    each graph receives its own ``(n_g, 4)`` slice of the stacked
-    result (a fresh array, not a view into the pack).  Accepts both
-    graph flavours, in any mix; empty graphs are left unchanged exactly
-    like :func:`augment_graph`.  Returns the input graphs as a list, in
-    order, mutated in place.
+    CSR, the closeness/Brandes sweeps and the PageRank solve run once
+    per chunk, and each graph receives its own ``(n_g, 4)`` slice of
+    the stacked result (a fresh array, not a view into the pack).
+    Accepts both graph flavours, in any mix; empty graphs are left
+    unchanged exactly like :func:`augment_graph`.  Returns the input
+    graphs as a list, in order, mutated in place.
 
     ``max_batch_nodes`` bounds the ``64 × N_batch`` dense scratch of
     the batched BFS (``None`` packs everything into one chunk); it is a

@@ -1,22 +1,20 @@
 """Cross-graph block-diagonal centrality batching (Stage 4 at batch scale).
 
-Stage-4 augmentation dominates pipeline construction time (~74% after
-the PR-3 ArrayGraph rewrite), and its cost profile is the
-many-tiny-graphs regime: each slice graph runs its *own* small
-frontier-batched BFS, Brandes sweep, and PageRank power iteration, so
+Stage 4 runs in the many-tiny-graphs regime: each slice graph needs its
+*own* small frontier-batched BFS, Brandes sweep and PageRank, so
 per-call scipy/Python overhead — CSR builds, transposes, per-level loop
-iterations, per-iteration mat-vecs — is paid once per graph.  This
-module packs a whole batch of slice graphs into **one** block-diagonal
-CSR adjacency (node ids offset per graph, edge columns concatenated) and
-runs every kernel once over the packed matrix, then scatters the
-per-graph ``(n_g, 4)`` centrality matrices back via the node offsets.
+iterations — is paid once per graph.  This module packs a whole batch
+of slice graphs into **one** block-diagonal CSR adjacency (node ids
+offset per graph, edge columns concatenated) and runs every kernel once
+over the packed matrix, then scatters the per-graph ``(n_g, 4)``
+centrality matrices back via the node offsets.
 
 Why this is exact
 -----------------
 
-The packed graphs are disconnected components, so BFS frontiers, Brandes
-dependencies, and PageRank mass never cross block boundaries.  The
-batched kernels exploit that in two ways:
+The packed graphs are disconnected components, so BFS frontiers and
+Brandes dependencies never cross block boundaries.  The batched kernels
+exploit that in three ways:
 
 - **Row sharing.**  The forward/backward sweeps of
   :mod:`repro.graphs.centrality` take seed ``(row, node)`` pairs, so one
@@ -26,17 +24,15 @@ batched kernels exploit that in two ways:
   nodes.  A sweep then costs ``O(nnz_total)`` per BFS level for the
   whole batch, and the number of row blocks is ``ceil(max_g n_g / 64)``
   instead of ``ceil(Σ n_g / 64)``.
-- **Per-graph semantics via segment ops.**  Degree/closeness/betweenness
-  normalisation and PageRank teleport, dangling mass, and convergence
-  are all *per-graph* quantities (they divide by each graph's own ``n``)
-  — computed with segment reductions over the node offsets, so results
-  match running :func:`~repro.graphs.centrality.centrality_matrix_csr`
-  per graph.  PageRank freezes each graph's segment at its own first
-  iteration under tolerance, mirroring the per-graph early return, and
-  once frozen segments hold the majority of pack nodes the power
-  iteration compacts its working matrix to the still-active blocks —
-  exact, because disconnected blocks never exchange mass (see
-  :func:`_pagerank_block_diagonal`).
+- **Per-graph semantics via segment ops.**  Degree, closeness and
+  betweenness normalisation are *per-graph* quantities (they divide by
+  each graph's own ``n``), computed with segment reductions over the
+  node offsets, so results match running
+  :func:`~repro.graphs.centrality.centrality_matrix_csr` per graph.
+- **PageRank per block.**  :func:`~repro.graphs.centrality.pagerank_exact`
+  solves each graph's Eq. 11 system from its own block only (one
+  stacked dense solve per node count), exactly as it does for a lone
+  graph.
 
 Every floating-point operation a node participates in has the same
 operands in the same order as the per-graph path (sums over extra
@@ -76,6 +72,7 @@ from repro.graphs.centrality import (
     BFS_BLOCK,
     _backward_sweep,
     _forward_sweep,
+    pagerank_exact,
 )
 
 __all__ = [
@@ -86,10 +83,12 @@ __all__ = [
     "batched_centrality_matrices",
 ]
 
-#: Node budget per packed batch: bounds the dense ``64 × N_batch``
-#: frontier/σ/δ scratch arrays of one sweep at a few megabytes while
-#: leaving hundreds of paper-scale slice graphs per pack.
-DEFAULT_MAX_BATCH_NODES = 8192
+#: Node budget per packed batch.  Bigger packs amortise per-call
+#: overhead but grow the dense ``64 × N_batch`` frontier/σ/δ scratch of
+#: every BFS level.  On the full pipeline bench's 722 slice graphs
+#: (≤105 nodes), budgets of 512–2048 nodes ran within noise of each
+#: other and 8192 was ~1.5× slower.
+DEFAULT_MAX_BATCH_NODES = 1024
 
 
 def pack_block_diagonal(
@@ -287,154 +286,15 @@ def centrality_matrix_block_diagonal(
         closeness[seed_cols[valid]] = (
             source_reach[valid] - 1
         ) / source_totals[valid]
-        betweenness += _backward_sweep(
-            matrix, sigma, levels, seed_rows, seed_cols
-        )
+        betweenness += _backward_sweep(matrix, sigma, levels)
     betweenness /= 2.0  # each undirected pair counted twice
     scale = np.ones(num_graphs, dtype=np.float64)
     big = sizes > 2
     scale[big] = 2.0 / ((sizes[big] - 1) * (sizes[big] - 2))
     betweenness *= scale[graph_of_node]
 
-    pagerank = _pagerank_block_diagonal(
-        transpose,
-        out_degree,
-        sizes,
-        graph_of_node,
-        seg_starts,
-        alpha=0.85,
-        max_iterations=200,
-        tolerance=1e-10,
-    )
+    pagerank = pagerank_exact(transpose, out_degree, offsets)
     return np.column_stack([degree, closeness, betweenness, pagerank])
-
-
-def _extract_active_blocks(
-    matrix: sp.csr_matrix, keep: np.ndarray
-) -> sp.csr_matrix:
-    """Rows *and* columns of a block-diagonal CSR cut down to kept blocks.
-
-    ``keep`` flags the nodes of surviving blocks.  Because blocks are
-    disconnected, every stored entry of a kept row points at a kept
-    node, so the extraction drops no entries of kept rows and copies
-    each row's entries in stored order — a mat-vec on the shrunk matrix
-    adds the same numbers in the same order as the full-pack one.
-    """
-    rows = np.flatnonzero(keep)
-    counts = np.diff(matrix.indptr)[rows]
-    indptr = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    gather = np.arange(int(indptr[-1]), dtype=np.int64) + np.repeat(
-        matrix.indptr[rows] - indptr[:-1], counts
-    )
-    column_map = np.cumsum(keep, dtype=np.int64) - 1
-    return sp.csr_matrix(
-        (matrix.data[gather], column_map[matrix.indices[gather]], indptr),
-        shape=(rows.size, rows.size),
-    )
-
-
-def _pagerank_block_diagonal(
-    transpose: sp.csr_matrix,
-    out_degree: np.ndarray,
-    sizes: np.ndarray,
-    graph_of_node: np.ndarray,
-    seg_starts: np.ndarray,
-    alpha: float,
-    max_iterations: int,
-    tolerance: float,
-) -> np.ndarray:
-    """Per-graph power-iteration PageRank over the packed matrix.
-
-    Teleport (``(1 − α)/n_g``), dangling-mass redistribution
-    (``α · Σ_dangling rank / n_g``), and the L1 convergence test are all
-    per-graph segment quantities; a graph's segment freezes at its own
-    first iteration under ``tolerance``, exactly like the per-graph
-    early return of the unbatched kernel.
-
-    The iteration runs over a *working pack* that starts as the full
-    matrix and shrinks: once frozen graphs hold the majority of working
-    nodes, their (final) ranks are scattered back and the pack — matrix
-    plus every per-node/per-graph array — is compacted to the active
-    blocks via :func:`_extract_active_blocks`.  On convergence-skewed
-    packs this stops the slowest graph from dragging everyone else's
-    rows through the mat-vec.  The shrink is exact, not approximate:
-    blocks are disconnected, frozen segments are never read by active
-    ones, and the surviving rows keep their stored entry order, so
-    every iterate of every graph is bit-identical to the full-pack loop
-    (``tests/test_batched_centrality.py`` pins this against the
-    unbatched kernel and the pure-Python oracle).
-    """
-    num_graphs = sizes.size
-    dangling = out_degree == 0.0
-    inverse_out = np.where(
-        dangling, 0.0, 1.0 / np.where(dangling, 1.0, out_degree)
-    )
-    nonempty = sizes > 0
-    inv_n = np.zeros(num_graphs, dtype=np.float64)
-    inv_n[nonempty] = 1.0 / sizes[nonempty]
-    rank = inv_n[graph_of_node]
-    base = np.zeros(num_graphs, dtype=np.float64)
-    base[nonempty] = (1.0 - alpha) / sizes[nonempty]
-
-    # Working-pack state, one entry per still-working node/graph.
-    w_matrix = transpose
-    w_nodes = np.arange(out_degree.size, dtype=np.int64)  # row -> node
-    w_rank = rank.copy()
-    w_inverse_out = inverse_out
-    w_base = base[graph_of_node]
-    w_dangling = dangling
-    w_sizes = sizes[nonempty].astype(np.int64)
-    w_active = np.ones(w_sizes.size, dtype=bool)
-    w_graph_of = np.repeat(np.arange(w_sizes.size), w_sizes)
-    w_starts = np.zeros(w_sizes.size, dtype=np.int64)
-    np.cumsum(w_sizes[:-1], out=w_starts[1:])
-    w_dang_idx = np.flatnonzero(w_dangling)
-
-    for _ in range(max_iterations):
-        if not w_active.any():
-            break
-        if w_dang_idx.size:
-            mass = np.bincount(
-                w_graph_of[w_dang_idx],
-                weights=w_rank[w_dang_idx],
-                minlength=w_sizes.size,
-            )
-            mass = alpha * mass / w_sizes
-        else:
-            mass = np.zeros(w_sizes.size, dtype=np.float64)
-        new_rank = (
-            w_base
-            + mass[w_graph_of]
-            + alpha * (w_matrix @ (w_rank * w_inverse_out))
-        )
-        residuals = np.add.reduceat(np.abs(new_rank - w_rank), w_starts)
-        update_nodes = np.repeat(w_active, w_sizes)
-        w_rank = np.where(update_nodes, new_rank, w_rank)
-        w_active &= ~(residuals < tolerance)
-        keep = np.repeat(w_active, w_sizes)
-        if (
-            w_active.any()
-            and not w_active.all()
-            and int(keep.sum()) * 2 <= keep.size
-        ):
-            # Frozen blocks are the majority of working rows: scatter
-            # their final ranks back and shrink the pack to the rest.
-            rank[w_nodes] = w_rank
-            w_matrix = _extract_active_blocks(w_matrix, keep)
-            w_nodes = w_nodes[keep]
-            w_rank = w_rank[keep]
-            w_inverse_out = w_inverse_out[keep]
-            w_base = w_base[keep]
-            w_dangling = w_dangling[keep]
-            w_sizes = w_sizes[w_active]
-            w_active = np.ones(w_sizes.size, dtype=bool)
-            w_graph_of = np.repeat(np.arange(w_sizes.size), w_sizes)
-            w_starts = np.zeros(w_sizes.size, dtype=np.int64)
-            np.cumsum(w_sizes[:-1], out=w_starts[1:])
-            w_dang_idx = np.flatnonzero(w_dangling)
-    rank[w_nodes] = w_rank
-    return rank
 
 
 def batched_centrality_matrices(

@@ -30,8 +30,15 @@ is an order-of-magnitude wall-clock win (tracked by
   path-counting sweep (``σ_{L+1} = (σ ⊙ F_L) · A`` masked to the new
   frontier) and the dependency back-propagation (``δ_{L−1} += σ_{L−1} ⊙
   ((1+δ_L)/σ_L · Aᵀ)``) batched over source blocks.
-- **PageRank centrality** (Eq. 11): power iteration as a CSR mat-vec
-  with uniform dangling-mass redistribution — ``O(E)`` per iteration.
+- **PageRank centrality** (Eq. 11): with dangling mass spread
+  uniformly, Eq. 11's fixed point is the linear system
+  ``(I − αAᵀD⁻¹ − (α/n)·1dᵀ) r = (1 − α)/n · 1`` (``D`` the out-degrees,
+  ``d`` the dangling indicator).  :func:`pagerank_exact` solves it
+  directly: graphs up to :data:`PAGERANK_DENSE_MAX_NODES` nodes are
+  grouped by node count and each group is one stacked dense
+  ``np.linalg.solve``; larger graphs fall back to power iteration
+  (``O(E)`` per CSR mat-vec).  The public :func:`pagerank_centrality`
+  keeps the power iteration and its tolerance knobs.
 
 The adjacency lists may be directed (asymmetric); forward propagation
 uses ``Aᵀ`` and Brandes' back-propagation uses ``A``, which coincide on
@@ -53,6 +60,7 @@ __all__ = [
     "closeness_centrality",
     "betweenness_centrality",
     "pagerank_centrality",
+    "pagerank_exact",
     "centrality_matrix",
     "centrality_matrix_csr",
 ]
@@ -63,6 +71,15 @@ Adjacency = Sequence[Sequence[int]]
 #: arrays at ``BFS_BLOCK × n`` float64 while keeping the sparse products
 #: wide enough to amortise per-level overhead.
 BFS_BLOCK = 64
+
+#: Largest graph whose PageRank :func:`pagerank_exact` solves as a dense
+#: ``n × n`` system; larger graphs iterate.  The ``O(n³)`` solve beats
+#: the ~136 power-iteration steps of a slice graph up to a crossover
+#: between ~200 nodes (fast-mixing random graphs, which converge
+#: sooner) and ~330 (star-like slice graphs).  One x86-64 core, one
+#: graph: a 259-node slice graph solves in 1.8 ms against 3.4 ms
+#: iterating, a 356-node one in 5.8 against 3.5 ms.
+PAGERANK_DENSE_MAX_NODES = 256
 
 
 def _adjacency_arrays(adjacency: Adjacency) -> Tuple[np.ndarray, np.ndarray]:
@@ -119,16 +136,13 @@ def _source_blocks(n: int) -> "range":
     return range(0, n, BFS_BLOCK)
 
 
-Level = Tuple[np.ndarray, np.ndarray]
-
-
 def _forward_sweep(
     transpose: sp.csr_matrix,
     seed_rows: np.ndarray,
     seed_cols: np.ndarray,
     num_rows: int,
     n: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Level]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[np.ndarray]]:
     """Level-synchronous BFS + path counting for one source block.
 
     Sources are given as ``(seed_rows, seed_cols)`` index pairs into the
@@ -139,67 +153,80 @@ def _forward_sweep(
     block-diagonal graphs never overlap.
 
     Returns ``(sigma, dist, visited, levels)`` where ``sigma``/``dist``/
-    ``visited`` have a row per source row and ``levels[L]`` holds the
-    ``(source row, node)`` index pairs at BFS depth ``L``.  Each level
-    costs one sparse mat-mat product; every (source, node) pair appears
-    in exactly one level, so the level lists total ``O(B·n)`` memory —
-    the same bound as the dense work arrays.
+    ``visited`` are ``num_rows × n`` (a row per source row) and
+    ``levels[L]`` holds the ``(source row, node)`` pairs at BFS depth
+    ``L``.  Each level costs one sparse mat-mat product; every
+    (source, node) pair appears in exactly one level, so the level lists
+    total ``O(B·n)`` memory — the same bound as the dense work arrays.
+
+    The work arrays are stored node-major (``n × B``, the layout the
+    sparse product reads and writes without a transposing copy) and
+    addressed by flat index ``node · B + row``, which is what ``levels``
+    holds; the returned matrices are transposed views.
     """
     b = num_rows
-    sigma = np.zeros((b, n), dtype=np.float64)
-    sigma[seed_rows, seed_cols] = 1.0
-    visited = np.zeros((b, n), dtype=bool)
-    visited[seed_rows, seed_cols] = True
-    dist = np.full((b, n), -1, dtype=np.int64)
-    dist[seed_rows, seed_cols] = 0
-    levels: List[Level] = [(seed_rows, seed_cols)]
-    frontier = np.zeros((b, n), dtype=np.float64)
+    seeds = seed_cols * b + seed_rows
+    sigma = np.zeros(n * b, dtype=np.float64)
+    sigma[seeds] = 1.0
+    visited = np.zeros(n * b, dtype=bool)
+    visited[seeds] = True
+    dist = np.full(n * b, -1, dtype=np.int64)
+    dist[seeds] = 0
+    levels = [seeds]
+    frontier = np.zeros((n, b), dtype=np.float64)
+    flat_frontier = frontier.reshape(-1)
     level = 0
     while True:
         level += 1
-        frontier[:] = 0.0
-        last_rows, last_cols = levels[-1]
-        frontier[last_rows, last_cols] = sigma[last_rows, last_cols]
-        counts = (transpose @ frontier.T).T
-        newly = (counts > 0.0) & ~visited
-        new_rows, new_cols = np.nonzero(newly)
-        if new_rows.size == 0:
-            return sigma, dist, visited, levels
-        sigma[new_rows, new_cols] = counts[new_rows, new_cols]
-        dist[new_rows, new_cols] = level
-        visited[new_rows, new_cols] = True
-        levels.append((new_rows, new_cols))
+        last = levels[-1]
+        flat_frontier[last] = sigma[last]
+        counts = (transpose @ frontier).reshape(-1)
+        flat_frontier[last] = 0.0
+        newly = np.flatnonzero((counts > 0.0) & ~visited)
+        if newly.size == 0:
+            break
+        sigma[newly] = counts[newly]
+        dist[newly] = level
+        visited[newly] = True
+        levels.append(newly)
+    return (
+        sigma.reshape(n, b).T,
+        dist.reshape(n, b).T,
+        visited.reshape(n, b).T,
+        levels,
+    )
 
 
 def _backward_sweep(
-    matrix: sp.csr_matrix,
-    sigma: np.ndarray,
-    levels: List[Level],
-    seed_rows: np.ndarray,
-    seed_cols: np.ndarray,
+    matrix: sp.csr_matrix, sigma: np.ndarray, levels: List[np.ndarray]
 ) -> np.ndarray:
     """Brandes' dependency accumulation for one source block.
 
     A node at level L−1 receives ``σ_u · Σ_{v ∈ Γ(u) ∩ level L}
     (1 + δ_v)/σ_v``; same-level and back edges are masked out, which is
-    exactly Brandes' shortest-path-DAG restriction.  Returns the summed
-    per-node dependency of the block (source self-dependencies, seeded
-    at the ``(seed_rows, seed_cols)`` pairs of the forward sweep,
-    zeroed).
+    exactly Brandes' shortest-path-DAG restriction.  Takes the
+    ``sigma`` and flat ``levels`` of :func:`_forward_sweep` and returns
+    the summed per-node dependency of the block (source
+    self-dependencies, at ``levels[0]``, zeroed).  The sum runs over
+    source rows in order, so rows that only hold zeros — a small graph
+    in a wide pack — leave it bit-for-bit unchanged.
     """
-    delta = np.zeros_like(sigma)
-    coefficient = np.zeros_like(sigma)
+    b, n = sigma.shape
+    flat_sigma = sigma.T.reshape(-1)
+    delta = np.zeros(n * b, dtype=np.float64)
+    coefficient = np.zeros((n, b), dtype=np.float64)
+    flat_coefficient = coefficient.reshape(-1)
     for level in range(len(levels) - 1, 0, -1):
-        rows, cols = levels[level]
-        coefficient[:] = 0.0
-        coefficient[rows, cols] = (1.0 + delta[rows, cols]) / sigma[rows, cols]
-        contribution = (matrix @ coefficient.T).T
-        prev_rows, prev_cols = levels[level - 1]
-        delta[prev_rows, prev_cols] += (
-            sigma[prev_rows, prev_cols] * contribution[prev_rows, prev_cols]
-        )
-    delta[seed_rows, seed_cols] = 0.0
-    return delta.sum(axis=0)
+        current = levels[level]
+        flat_coefficient[current] = (
+            1.0 + delta[current]
+        ) / flat_sigma[current]
+        contribution = (matrix @ coefficient).reshape(-1)
+        flat_coefficient[current] = 0.0
+        previous = levels[level - 1]
+        delta[previous] += flat_sigma[previous] * contribution[previous]
+    delta[levels[0]] = 0.0
+    return np.ascontiguousarray(delta.reshape(n, b).T).sum(axis=0)
 
 
 def _closeness_from_sweep(
@@ -247,7 +274,7 @@ def betweenness_centrality(
         sigma, _, _, levels = _forward_sweep(
             transpose, rows, sources, sources.size, n
         )
-        scores += _backward_sweep(matrix, sigma, levels, rows, sources)
+        scores += _backward_sweep(matrix, sigma, levels)
     scores /= 2.0  # each undirected pair counted twice
     if normalized and n > 2:
         scores *= 2.0 / ((n - 1) * (n - 2))
@@ -298,6 +325,106 @@ def _pagerank_power_iteration(
     return rank
 
 
+def _diagonal_block(matrix: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows and columns ``lo:hi`` of a block-diagonal CSR, entries in
+    stored order (a block owns every entry of its rows)."""
+    start, stop = matrix.indptr[lo], matrix.indptr[hi]
+    return sp.csr_matrix(
+        (
+            matrix.data[start:stop],
+            matrix.indices[start:stop] - lo,
+            matrix.indptr[lo : hi + 1] - start,
+        ),
+        shape=(hi - lo, hi - lo),
+    )
+
+
+def pagerank_exact(
+    transpose: sp.csr_matrix,
+    out_degree: np.ndarray,
+    offsets: np.ndarray,
+    alpha: float = 0.85,
+) -> np.ndarray:
+    """Per-graph PageRank (Eq. 11) of a block-diagonal adjacency, solved.
+
+    ``transpose`` is ``Aᵀ`` of the (packed) adjacency ``A``,
+    ``out_degree`` its row lengths and ``offsets`` (``int64``, length
+    ``num_graphs + 1``) delimits the diagonal blocks; a lone graph is
+    ``offsets = [0, n]``.  Graph ``g``'s ranks solve
+    ``(I − αAᵀD⁻¹ − (α/n)·1dᵀ) r = (1 − α)/n · 1`` over its own block.
+
+    Graphs of at most :data:`PAGERANK_DENSE_MAX_NODES` nodes are solved
+    densely.  One scatter over the pack's entries writes every such
+    system into a row-major slot of one flat buffer, the slots ordered
+    by node count, so each same-size run is a ``(count, n, n)`` view
+    handed to one stacked ``np.linalg.solve``.  Duplicate entries add,
+    as they do in the mat-vec.  Larger graphs run the power iteration
+    one at a time.  Either way a graph's ranks depend only on its own
+    block, so they are bit-identical in or out of a pack.
+    """
+    sizes = np.diff(offsets)
+    num_graphs = sizes.size
+    rank = np.zeros(out_degree.size, dtype=np.float64)
+    dangling = out_degree == 0.0
+    inverse_out = np.where(
+        dangling, 0.0, 1.0 / np.where(dangling, 1.0, out_degree)
+    )
+    for g in np.flatnonzero(sizes > PAGERANK_DENSE_MAX_NODES):
+        lo, hi = int(offsets[g]), int(offsets[g + 1])
+        rank[lo:hi] = _pagerank_power_iteration(
+            _diagonal_block(transpose, lo, hi),
+            out_degree[lo:hi],
+            alpha,
+            max_iterations=200,
+            tolerance=1e-10,
+        )
+    dense = (sizes > 0) & (sizes <= PAGERANK_DENSE_MAX_NODES)
+    if not dense.any():
+        return rank
+
+    order = np.flatnonzero(dense)
+    order = order[np.argsort(sizes[order], kind="stable")]
+    slot_sizes = sizes[order] ** 2
+    slot_starts = np.zeros(order.size + 1, dtype=np.int64)
+    np.cumsum(slot_sizes, out=slot_starts[1:])
+    slot = np.zeros(num_graphs, dtype=np.int64)
+    slot[order] = slot_starts[:-1]
+
+    # M[i, j] = −α · Aᵀ[i, j] / deg(j) for every entry of a dense graph.
+    rows = np.repeat(
+        np.arange(out_degree.size, dtype=np.int64), np.diff(transpose.indptr)
+    )
+    cols = transpose.indices.astype(np.int64)
+    values = transpose.data
+    graph = np.repeat(np.arange(num_graphs), sizes)[rows]
+    keep = dense[graph]
+    if not keep.all():
+        rows, cols, graph = rows[keep], cols[keep], graph[keep]
+        values = values[keep]
+    offset = offsets[graph]
+    system = -alpha * np.bincount(
+        slot[graph] + (rows - offset) * sizes[graph] + (cols - offset),
+        weights=values * inverse_out[cols],
+        minlength=int(slot_starts[-1]),
+    )
+
+    run_sizes, run_starts, run_counts = np.unique(
+        sizes[order], return_index=True, return_counts=True
+    )
+    for n, first, count in zip(
+        run_sizes.tolist(), run_starts.tolist(), run_counts.tolist()
+    ):
+        start = int(slot_starts[first])
+        block = system[start : start + count * n * n].reshape(count, n, n)
+        nodes = offsets[order[first : first + count], None] + np.arange(n)
+        block -= (alpha / n) * dangling[nodes][:, None, :]
+        diagonal = np.arange(n)
+        block[:, diagonal, diagonal] += 1.0
+        rhs = np.full((count, n, 1), (1.0 - alpha) / n)
+        rank[nodes] = np.linalg.solve(block, rhs)[..., 0]
+    return rank
+
+
 def centrality_matrix(adjacency: Adjacency) -> np.ndarray:
     """All four centralities stacked: shape ``(n, 4)``.
 
@@ -344,12 +471,12 @@ def centrality_matrix_csr(
         )
         valid, block_scores = _closeness_from_sweep(dist, visited)
         closeness[sources[valid]] = block_scores[valid]
-        betweenness += _backward_sweep(matrix, sigma, levels, rows, sources)
+        betweenness += _backward_sweep(matrix, sigma, levels)
     betweenness /= 2.0
     if n > 2:
         betweenness *= 2.0 / ((n - 1) * (n - 2))
 
-    pagerank = _pagerank_power_iteration(
-        transpose, out_degree, alpha=0.85, max_iterations=200, tolerance=1e-10
+    pagerank = pagerank_exact(
+        transpose, out_degree, np.array([0, n], dtype=np.int64)
     )
     return np.column_stack([degree, closeness, betweenness, pagerank])

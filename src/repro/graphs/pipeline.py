@@ -97,7 +97,7 @@ def _observe_stage(name: str, seconds: float, count: int) -> None:
 #: Config fields that tune *how fast* Stage 4 runs, not *what* it
 #: builds — excluded from :meth:`GraphPipelineConfig.fingerprint` so
 #: cache entries stay shareable across batching settings.
-_PERF_ONLY_FIELDS = ("batch_stage4", "stage4_max_batch_nodes")
+_PERF_ONLY_FIELDS = ("batch_stage4",)
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,9 @@ class GraphPipelineConfig:
     slice graphs of a pipeline call share one block-diagonal centrality
     sweep (:func:`~repro.graphs.augmentation.augment_graphs`) instead
     of running the kernels per graph — output-identical, but with the
-    per-graph scipy/Python overhead amortised across the batch.
-    ``stage4_max_batch_nodes`` bounds the nodes packed per sweep (the
-    dense BFS scratch is ``64 × nodes`` float64).  Both are performance
-    knobs only and therefore excluded from :meth:`fingerprint`.
+    per-graph scipy/Python overhead amortised across the batch.  It is
+    a performance knob only and therefore excluded from
+    :meth:`fingerprint`.
     """
 
     slice_size: int = 100
@@ -126,7 +125,6 @@ class GraphPipelineConfig:
     enable_multi_compression: bool = True
     enable_augmentation: bool = True
     batch_stage4: bool = True
-    stage4_max_batch_nodes: int = 8192
 
     def __post_init__(self) -> None:
         if self.slice_size <= 0:
@@ -135,11 +133,6 @@ class GraphPipelineConfig:
             raise ValidationError(f"psi must be in (0, 1], got {self.psi}")
         if self.sigma < 1:
             raise ValidationError(f"sigma must be >= 1, got {self.sigma}")
-        if self.stage4_max_batch_nodes <= 0:
-            raise ValidationError(
-                "stage4_max_batch_nodes must be > 0, got "
-                f"{self.stage4_max_batch_nodes}"
-            )
 
     def fingerprint(self) -> str:
         """Stable digest of the construction parameters.
@@ -319,10 +312,7 @@ class GraphConstructionPipeline:
         if self.config.batch_stage4:
             with obs.span(_STAGE_SPANS[name]):
                 start = time.perf_counter()
-                graphs = augment_graphs(
-                    graphs,
-                    max_batch_nodes=self.config.stage4_max_batch_nodes,
-                )
+                graphs = augment_graphs(graphs)
                 self.timer.add(
                     name, time.perf_counter() - start, count=len(graphs)
                 )

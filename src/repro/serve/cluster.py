@@ -132,6 +132,9 @@ __all__ = [
 _SERVE_REQUESTS = obs.counter("serve_requests_total")
 _SERVE_ADDRESSES = obs.counter("serve_addresses_total")
 _SERVE_SECONDS = obs.histogram("serve_request_seconds")
+#: Requests refused for naming an address with no transactions on chain
+#: (by :meth:`ClusterScoringService.score` or the micro-batcher).
+_SERVE_UNKNOWN = obs.counter("serve_unknown_rejections_total")
 #: Cluster-layer registry metrics (process-global; see ``repro.obs``).
 #: The legacy accessors — ``pool_stats()``, ``micro_batch_stats()``,
 #: per-shard ``CacheStats`` — stay the per-instance views; these
@@ -1101,6 +1104,7 @@ class _MicroBatcher:
                 if cluster.index.transaction_count(a) == 0
             ]
             if unknown:
+                _SERVE_UNKNOWN.inc()
                 _fail_future(
                     request.future, _unknown_addresses_error(unknown)
                 )
@@ -1442,6 +1446,7 @@ class ClusterScoringService:
             a for a in addresses if self.index.transaction_count(a) == 0
         ]
         if unknown:
+            _SERVE_UNKNOWN.inc()
             raise _unknown_addresses_error(unknown)
         return self._score_addresses(addresses)
 

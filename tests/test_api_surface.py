@@ -118,10 +118,11 @@ class TestDocumentedSurface:
     def test_pipeline_batch_knobs(self):
         """The documented Stage-4 batching switch and node budget."""
         from repro.graphs import GraphPipelineConfig
+        from repro.graphs.batched_centrality import DEFAULT_MAX_BATCH_NODES
 
         config = GraphPipelineConfig()
         assert config.batch_stage4 is True
-        assert config.stage4_max_batch_nodes > 0
+        assert DEFAULT_MAX_BATCH_NODES > 0
 
 
 class TestVersion:

@@ -8,11 +8,12 @@ oracles, batching is order-invariant, and chunking never changes
 results.
 """
 
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.graphs import batched_centrality as batched_module
 from repro.graphs import (
     ArrayGraph,
     GraphConstructionPipeline,
@@ -25,7 +26,16 @@ from repro.graphs import (
     pack_block_diagonal,
     plan_packs,
 )
-from repro.graphs.reference import reference_centrality_matrix
+from repro.graphs.centrality import (
+    PAGERANK_DENSE_MAX_NODES,
+    _csr_from_lists,
+    _pagerank_power_iteration,
+    pagerank_exact,
+)
+from repro.graphs.reference import (
+    reference_centrality_matrix,
+    reference_pagerank_centrality,
+)
 from repro.testing import random_chain
 
 
@@ -229,68 +239,13 @@ class TestSkewAwarePacking:
 
 
 class TestActiveSegmentCompaction:
-    """PageRank working-pack compaction: once frozen graphs dominate a
-    pack the loop shrinks to the active blocks — a pure performance
-    move that must never change a single bit of any result."""
+    """Skewed packs: a graph's results never depend on its packmates."""
 
     @pytest.fixture()
     def skewed_matrices(self):
-        """Five edgeless graphs (converge at iteration one) plus one
-        dense-ish graph that iterates for dozens of rounds: after the
-        first iteration the frozen blocks hold the majority of pack
-        nodes, which is exactly the compaction trigger."""
+        """Five edgeless graphs plus one dense-ish 120-node graph."""
         fast = [sp.csr_matrix((60, 60), dtype=np.float64) for _ in range(5)]
         return fast + [_random_csr(120, seed=77)]
-
-    def test_extract_active_blocks_is_exact(self, mixed_matrices):
-        packed, offsets = pack_block_diagonal(mixed_matrices)
-        transpose = packed.transpose().tocsr()
-        sizes = np.diff(offsets)
-        keep_graphs = np.arange(sizes.size) % 2 == 0
-        keep = np.repeat(keep_graphs, sizes)
-        sub = batched_module._extract_active_blocks(transpose, keep)
-        rows = np.flatnonzero(keep)
-        assert sub.shape == (rows.size, rows.size)
-        assert (sub != transpose[rows][:, rows]).nnz == 0
-        # No entry of a kept row may be dropped (disconnected blocks).
-        assert sub.nnz == int(np.diff(transpose.indptr)[rows].sum())
-
-    def test_skewed_pack_compacts_and_stays_bit_identical(
-        self, skewed_matrices, monkeypatch
-    ):
-        compactions = []
-        original = batched_module._extract_active_blocks
-
-        def spy(matrix, keep):
-            compactions.append((keep.size, int(keep.sum())))
-            return original(matrix, keep)
-
-        monkeypatch.setattr(
-            batched_module, "_extract_active_blocks", spy
-        )
-        whole_pack = batched_centrality_matrices(
-            skewed_matrices, max_batch_nodes=None
-        )
-        assert compactions, (
-            "a convergence-skewed pack should trigger at least one "
-            "active-segment compaction"
-        )
-        # Chunk invariance across the compaction: per-graph packs never
-        # compact (a lone graph is all-active or done), yet must match
-        # the compacted whole-pack run bit for bit.
-        per_graph_packs = batched_centrality_matrices(
-            skewed_matrices, max_batch_nodes=1
-        )
-        for i, (a, b) in enumerate(zip(whole_pack, per_graph_packs)):
-            assert np.array_equal(a, b), f"compaction changed graph {i}"
-        for i, matrix in enumerate(skewed_matrices):
-            np.testing.assert_allclose(
-                whole_pack[i],
-                centrality_matrix_csr(matrix),
-                rtol=1e-9,
-                atol=1e-9,
-                err_msg=f"graph {i} vs per-graph CSR path",
-            )
 
     def test_skewed_pack_order_invariance(self, skewed_matrices):
         baseline = batched_centrality_matrices(
@@ -307,6 +262,108 @@ class TestActiveSegmentCompaction:
             assert np.array_equal(permuted[position], baseline[j]), (
                 f"permuting the skewed batch changed graph {j}"
             )
+
+
+def _solve_packed(matrices):
+    """:func:`pagerank_exact` over one pack, split back per graph."""
+    packed, offsets = pack_block_diagonal(matrices)
+    ranks = pagerank_exact(
+        packed.transpose().tocsr(),
+        np.diff(packed.indptr).astype(np.float64),
+        offsets,
+    )
+    return [ranks[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
+def _assert_pack_matches_singletons_and_oracle(matrices):
+    packed = _solve_packed(matrices)
+    for i, (matrix, got) in enumerate(zip(matrices, packed)):
+        (alone,) = _solve_packed([matrix])
+        assert np.array_equal(got, alone), f"graph {i} not bitwise"
+        np.testing.assert_allclose(
+            got,
+            reference_pagerank_centrality(_adjacency_lists(matrix)),
+            rtol=1e-9,
+            atol=1e-9,
+            err_msg=f"graph {i} vs pure-Python oracle",
+        )
+
+
+class TestExactPageRank:
+    """Stage-4 PageRank solved, not iterated: same-size graphs share one
+    stacked dense solve, graphs above the cutoff iterate alone, and a
+    graph's ranks never depend on its packmates."""
+
+    def test_skewed_and_same_size_packs_match_singletons(self):
+        edgeless = [sp.csr_matrix((60, 60), dtype=np.float64)] * 5
+        same_size = [_random_csr(30, seed=s, isolate=s % 2) for s in range(6)]
+        _assert_pack_matches_singletons_and_oracle(
+            edgeless + [_random_csr(120, seed=77)] + same_size
+        )
+
+    def test_graph_above_cutoff_packed_with_small_graphs(self):
+        big = _random_csr(PAGERANK_DENSE_MAX_NODES + 1, seed=5, isolate=3)
+        matrices = [_random_csr(12, seed=1), big, _random_csr(40, seed=2)]
+        _assert_pack_matches_singletons_and_oracle(matrices)
+        # Above the cutoff the ranks are the power iteration's, bit for bit.
+        transpose = big.transpose().tocsr()
+        out_degree = np.diff(big.indptr).astype(np.float64)
+        iterated = _pagerank_power_iteration(
+            transpose, out_degree, 0.85, 200, 1e-10
+        )
+        assert np.array_equal(_solve_packed(matrices)[1], iterated)
+
+    def test_degenerate_graphs(self):
+        adjacencies = [
+            [[1, 1, 2], [0, 2], [0, 1]],  # duplicate neighbour
+            [[1], [], [1]],  # dangling node
+            [[1], [0], []],  # isolated node
+            [[]],  # one node
+            [[0]],  # one node, self-loop
+            [[1], [0]],  # two nodes
+        ]
+        matrices = [_csr_from_lists(adjacency) for adjacency in adjacencies]
+        _assert_pack_matches_singletons_and_oracle(matrices)
+        # Duplicates weight the shares: the deduplicated graph differs.
+        (deduplicated,) = _solve_packed(
+            [_csr_from_lists([[1, 2], [0, 2], [0, 1]])]
+        )
+        assert not np.allclose(_solve_packed(matrices[:1])[0], deduplicated)
+
+    def test_solve_beats_per_graph_iteration(self, pipeline_graphs):
+        """Live speed ratio, measured in one process so it holds on any
+        machine: best of 5 runs each on 12 pipeline graphs.  Routing the
+        small graphs back through the power iteration fails this (the
+        solve runs 15-50x the iteration on a 2-CPU x86-64 host)."""
+        matrices = [g.adjacency_matrix() for g in pipeline_graphs[:12]]
+        assert max(m.shape[0] for m in matrices) <= PAGERANK_DENSE_MAX_NODES
+        packed, offsets = pack_block_diagonal(matrices)
+        transpose = packed.transpose().tocsr()
+        out_degree = np.diff(packed.indptr).astype(np.float64)
+        singles = [
+            (m.transpose().tocsr(), np.diff(m.indptr).astype(np.float64))
+            for m in matrices
+        ]
+
+        def best_of_5(run):
+            best = float("inf")
+            for _ in range(5):
+                start = time.perf_counter()
+                for _ in range(10):
+                    run()
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        iterated = best_of_5(
+            lambda: [
+                _pagerank_power_iteration(t, d, 0.85, 200, 1e-10)
+                for t, d in singles
+            ]
+        )
+        solved = best_of_5(
+            lambda: pagerank_exact(transpose, out_degree, offsets)
+        )
+        assert iterated / solved >= 3.0, (iterated, solved)
 
 
 class TestAugmentGraphs:
@@ -429,14 +486,16 @@ class TestPipelineIntegration:
             == GraphPipelineConfig(
                 slice_size=15, batch_stage4=False
             ).fingerprint()
-            == GraphPipelineConfig(
-                slice_size=15, stage4_max_batch_nodes=64
-            ).fingerprint()
         )
         assert (
             base.fingerprint()
             != GraphPipelineConfig(slice_size=16).fingerprint()
         )
+
+    def test_default_fingerprint_is_pinned(self):
+        """Warm caches persisted under the default config stay valid:
+        retiring a performance-only field must not move the digest."""
+        assert GraphPipelineConfig().fingerprint() == "d40a834bea7f81e8"
 
 
 def _copy_arrays(graph: ArrayGraph) -> ArrayGraph:

@@ -10,6 +10,7 @@ block appends, and the legacy stats surfaces stay consistent with the
 registry snapshot.
 """
 
+import asyncio
 import json
 
 import numpy as np
@@ -294,6 +295,45 @@ class TestSingleServiceWiring:
         assert snap["counters"]["serve_addresses_total"] == 3
         hist = snap["histograms"]["serve_request_seconds"]
         assert sum(hist["counts"]) == 1
+
+    def test_unknown_rejection_counted_by_score(self, economy):
+        _, index, addresses, classifier = economy
+        service = AddressScoringService(classifier, index)
+        try:
+            with pytest.raises(ValidationError):
+                service.score([addresses[0], "bc1q-nowhere"])
+        finally:
+            service.close()
+        counters = obs.snapshot()["counters"]
+        assert counters["serve_unknown_rejections_total"] == 1
+        assert counters["serve_requests_total"] == 0
+
+    def test_unknown_rejection_counted_by_micro_batch(self, economy):
+        """A rejected request in a coalescing window is counted once;
+        its valid window-mate still scores."""
+        _, index, addresses, classifier = economy
+        cluster = ClusterScoringService(
+            classifier,
+            index,
+            config=ClusterConfig(num_workers=0, micro_batch_window=0.2),
+        )
+
+        async def fan_out():
+            return await asyncio.gather(
+                cluster.async_score([addresses[0]]),
+                cluster.async_score(["bc1q-nowhere"]),
+                return_exceptions=True,
+            )
+
+        try:
+            good, bad = asyncio.run(fan_out())
+        finally:
+            cluster.close()
+        assert isinstance(bad, ValidationError)
+        assert addresses[0] in good
+        counters = obs.snapshot()["counters"]
+        assert counters["serve_unknown_rejections_total"] == 1
+        assert counters["micro_batch_requests_total"] == 2
 
     def test_cache_counters_match_legacy_stats(self, economy):
         _, index, addresses, classifier = economy
