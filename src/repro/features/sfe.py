@@ -88,15 +88,14 @@ def sfe_vector(values: Iterable[float]) -> np.ndarray:
     value_range = maximum - minimum
     midrange = (maximum + minimum) / 2.0
     median = float(np.median(array))
-    variance = float(array.var())
-    std = float(np.sqrt(variance))
+    magnitude = max(abs(maximum), abs(minimum))
+    variance, std = _dispersion(array, magnitude)
     mad = float(np.abs(array - mean).mean())
     cv = std / abs(mean) if mean != 0.0 else 0.0
     # Constant inputs can leave a ~1e-17 residual std from rounding;
     # shape statistics on that residual are pure noise, so a relative
     # degeneracy threshold zeroes them out.
-    magnitude = max(abs(maximum), abs(minimum), 1e-300)
-    if std > 1e-12 * magnitude:
+    if std > 1e-12 * max(magnitude, 1e-300):
         z = (array - mean) / std
         skewness = float(np.mean(z**3))
         kurtosis = float(np.mean(z**4) - 3.0)  # excess kurtosis
@@ -124,6 +123,26 @@ def sfe_vector(values: Iterable[float]) -> np.ndarray:
             tilt,
         ],
         dtype=np.float64,
+    )
+
+
+def _dispersion(array: np.ndarray, magnitude: float) -> "tuple[float, float]":
+    """``(variance, std)`` of a non-empty bag of largest absolute value
+    ``magnitude``, safe from underflow.
+
+    The moments are taken on the bag rescaled by a power of two to unit
+    magnitude.  That rescaling is exact, so wherever the squared
+    deviations stay in the normal float range the result is bit for bit
+    ``array.var()`` and its square root; for bags of tiny magnitude
+    (~1e-160 and below) it keeps ``std``, and through it ``cv`` and
+    the shape statistics, from underflowing to zero or to a
+    subnormal-rounded value.
+    """
+    exponent = int(np.frexp(magnitude)[1])
+    unit_variance = float(np.ldexp(array, -exponent).var())
+    return (
+        float(np.ldexp(unit_variance, 2 * exponent)),
+        float(np.ldexp(np.sqrt(unit_variance), exponent)),
     )
 
 
@@ -211,14 +230,23 @@ def sfe_matrix_segments(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     median = 0.5 * (low + high)
 
     deviation = flat - mean[segment_ids]
-    variance = np.add.reduceat(deviation * deviation, starts) / count
-    std = np.sqrt(variance)
+    # As in sfe_vector (see _dispersion): the second moment is taken on
+    # each bag rescaled by a power of two to unit magnitude — exact, and
+    # safe from underflow for bags of tiny magnitude.
+    magnitude = np.maximum(np.abs(maximum), np.abs(minimum))
+    exponent = np.frexp(magnitude)[1]
+    unit_deviation = np.ldexp(deviation, -exponent[segment_ids])
+    unit_variance = (
+        np.add.reduceat(unit_deviation * unit_deviation, starts) / count
+    )
+    variance = np.ldexp(unit_variance, 2 * exponent)
+    std = np.ldexp(np.sqrt(unit_variance), exponent)
     mad = np.add.reduceat(np.abs(deviation), starts) / count
     cv = np.where(mean != 0.0, std / np.where(mean != 0.0, np.abs(mean), 1.0), 0.0)
 
     # Same degeneracy threshold as sfe_vector: shape statistics of a
     # numerically-constant bag are rounding noise and are zeroed.
-    magnitude = np.maximum(np.maximum(np.abs(maximum), np.abs(minimum)), 1e-300)
+    magnitude = np.maximum(magnitude, 1e-300)
     shaped = std > 1e-12 * magnitude
     safe_std = np.where(shaped, std, 1.0)
     z = deviation / safe_std[segment_ids]

@@ -32,7 +32,7 @@ Two graph representations coexist:
   ``center_node_id``...).
 """
 
-from repro.graphs.arrays import ArrayGraph, KIND_CODES
+from repro.graphs.arrays import ArrayGraph, GraphPack, KIND_CODES
 from repro.graphs.augmentation import augment_graph, augment_graphs
 from repro.graphs.batched_centrality import (
     batched_centrality_matrices,
@@ -50,12 +50,15 @@ from repro.graphs.centrality import (
 )
 from repro.graphs.compression import (
     compress_multi_transaction_addresses,
+    compress_multi_transaction_pack,
     compress_single_transaction_addresses,
+    compress_single_transaction_pack,
     similarity_matrices,
 )
 from repro.graphs.extraction import (
     build_arrays_from_index,
     build_original_arrays,
+    build_original_pack,
     build_original_graph,
     extract_array_graphs,
     extract_graphs,
@@ -87,6 +90,7 @@ from repro.graphs.pipeline import (
 
 __all__ = [
     "ArrayGraph",
+    "GraphPack",
     "KIND_CODES",
     "augment_graph",
     "augment_graphs",
@@ -101,10 +105,13 @@ __all__ = [
     "degree_centrality",
     "pagerank_centrality",
     "compress_multi_transaction_addresses",
+    "compress_multi_transaction_pack",
     "compress_single_transaction_addresses",
+    "compress_single_transaction_pack",
     "similarity_matrices",
     "build_arrays_from_index",
     "build_original_arrays",
+    "build_original_pack",
     "build_original_graph",
     "extract_array_graphs",
     "extract_graphs",

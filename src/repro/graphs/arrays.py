@@ -60,11 +60,22 @@ because the object model has no edge-timestamp field (it reads back as
 the mirror-image wrappers — so reference kernels, baselines, and
 examples that want per-node objects keep working on pipeline output at
 the cost of one conversion.
+
+Packs
+-----
+
+:class:`GraphPack` holds the graphs of one build in one global node
+space: the same columns, concatenated, with each graph's edges and bag
+offsets shifted by its node and bag offsets.  Stages 1–3 run on packs
+(one numpy pass per stage for the whole build, not one per graph);
+:meth:`GraphPack.graphs` cuts the per-graph :class:`ArrayGraph` views
+Stage 4 takes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,7 +91,7 @@ from repro.graphs.model import (
     GraphNode,
 )
 
-__all__ = ["ArrayGraph", "KIND_CODES"]
+__all__ = ["ArrayGraph", "GraphPack", "KIND_CODES"]
 
 
 def _segment_ranges(lengths: np.ndarray, total: int) -> np.ndarray:
@@ -374,3 +385,139 @@ class ArrayGraph:
             f"slice={self.slice_index}, nodes={self.num_nodes}, "
             f"edges={self.num_edges})"
         )
+
+
+@dataclass(eq=False)
+class GraphPack:
+    """Several slice graphs in one global node space.
+
+    Graph ``g`` owns nodes ``node_offsets[g]:node_offsets[g + 1]`` and
+    edges ``edge_offsets[g]:edge_offsets[g + 1]``; the node and edge
+    columns are those of :class:`ArrayGraph`, concatenated in graph
+    order, with ``edge_src``/``edge_dst`` holding global node ids and
+    ``bag_indptr`` one CSR over every node.  ``centers`` holds each
+    graph's centre as a global node id (``-1`` when it has none).
+    ``centrality`` is ``None`` or the stacked ``(num_nodes, 4)`` rows;
+    a pack cannot mix graphs with and without it.
+    """
+
+    center_addresses: List[str]
+    slice_indices: List[int]
+    time_ranges: List[Tuple[float, float]]
+    node_offsets: np.ndarray
+    edge_offsets: np.ndarray
+    kind_codes: np.ndarray
+    refs: np.ndarray
+    merged_counts: np.ndarray
+    bag_values: np.ndarray
+    bag_indptr: np.ndarray
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    edge_values: np.ndarray
+    edge_times: np.ndarray
+    centers: np.ndarray
+    centrality: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.center_addresses)
+
+    @property
+    def num_nodes(self) -> int:
+        """Nodes over every graph of the pack."""
+        return self.kind_codes.shape[0]
+
+    @property
+    def num_edges(self) -> int:
+        """Directed edges over every graph of the pack."""
+        return self.edge_src.shape[0]
+
+    @classmethod
+    def of(cls, graphs: Sequence[ArrayGraph]) -> "GraphPack":
+        """Pack ``graphs`` (in order) into one node space."""
+        with_centrality = sum(g.centrality is not None for g in graphs)
+        if 0 < with_centrality < len(graphs):
+            raise ValidationError(
+                "cannot pack graphs with and without centrality"
+            )
+        node_offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
+        np.cumsum([g.num_nodes for g in graphs], out=node_offsets[1:])
+        edge_offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
+        np.cumsum([g.num_edges for g in graphs], out=edge_offsets[1:])
+        bag_offsets = np.zeros(len(graphs), dtype=np.int64)
+        np.cumsum([g.bag_values.size for g in graphs[:-1]], out=bag_offsets[1:])
+        shift = np.repeat(node_offsets[:-1], np.diff(edge_offsets))
+        centers = np.array(
+            [
+                -1 if g.center_node_id() is None else g.center_node_id()
+                for g in graphs
+            ],
+            dtype=np.int64,
+        )
+        bag_indptr = np.zeros(int(node_offsets[-1]) + 1, dtype=np.int64)
+        bag_indptr[1:] = np.concatenate(
+            [g.bag_indptr[1:] for g in graphs]
+        ) + np.repeat(bag_offsets, np.diff(node_offsets))
+        return cls(
+            [g.center_address for g in graphs],
+            [g.slice_index for g in graphs],
+            [g.time_range for g in graphs],
+            node_offsets,
+            edge_offsets,
+            np.concatenate([g.kind_codes for g in graphs]),
+            np.concatenate([g.refs for g in graphs]),
+            np.concatenate([g.merged_counts for g in graphs]),
+            np.concatenate([g.bag_values for g in graphs]),
+            bag_indptr,
+            np.concatenate([g.edge_src for g in graphs]) + shift,
+            np.concatenate([g.edge_dst for g in graphs]) + shift,
+            np.concatenate([g.edge_values for g in graphs]),
+            np.concatenate([g.edge_times for g in graphs]),
+            np.where(centers >= 0, centers + node_offsets[:-1], -1),
+            (
+                np.concatenate([g.centrality for g in graphs])
+                if with_centrality
+                else None
+            ),
+        )
+
+    def graphs(self) -> List[ArrayGraph]:
+        """One :class:`ArrayGraph` per packed graph, in pack order.
+
+        Node and edge columns are views into the pack; edge endpoints,
+        bag offsets and the centre id are shifted back to local ids.
+        """
+        node_offsets = self.node_offsets.tolist()
+        edge_offsets = self.edge_offsets.tolist()
+        shift = np.repeat(self.node_offsets[:-1], np.diff(self.edge_offsets))
+        edge_src = self.edge_src - shift
+        edge_dst = self.edge_dst - shift
+        centers = self.centers.tolist()
+        out = []
+        for g, (lo, hi, elo, ehi) in enumerate(
+            zip(node_offsets, node_offsets[1:], edge_offsets, edge_offsets[1:])
+        ):
+            bag_indptr = self.bag_indptr[lo : hi + 1]
+            out.append(
+                ArrayGraph(
+                    center_address=self.center_addresses[g],
+                    slice_index=self.slice_indices[g],
+                    time_range=self.time_ranges[g],
+                    kind_codes=self.kind_codes[lo:hi],
+                    refs=self.refs[lo:hi],
+                    merged_counts=self.merged_counts[lo:hi],
+                    bag_values=self.bag_values[bag_indptr[0] : bag_indptr[-1]],
+                    bag_indptr=bag_indptr - bag_indptr[0],
+                    edge_src=edge_src[elo:ehi],
+                    edge_dst=edge_dst[elo:ehi],
+                    edge_values=self.edge_values[elo:ehi],
+                    edge_times=self.edge_times[elo:ehi],
+                    centrality=(
+                        None
+                        if self.centrality is None
+                        else self.centrality[lo:hi]
+                    ),
+                    center_id=centers[g] - lo if centers[g] >= 0 else None,
+                )
+            )
+        return out
+

@@ -16,16 +16,31 @@ the transfer statistics of merged nodes through SFE:
 The centre address node is never merged — it is the classification
 subject.  Transaction nodes are never merged.
 
-**Array-native formulation.**  Both passes operate on the columnar
-:class:`~repro.graphs.arrays.ArrayGraph` substrate end to end: distinct
-degrees come from unique undirected node pairs, per-(tx, side) candidate
-grouping from sorted integer pair keys, and the merge itself is an array
-union-find — every old node id resolves through a single ``resolve``
-lookup array (members point at their hyper node, survivors at their
-re-densified id), so node columns and value bags are re-gathered with
-fancy indexing, edge remapping is one indexing pass, and parallel-edge
-aggregation one ``bincount`` over first-seen-ordered keys.  No per-node
-or per-edge Python objects are created anywhere in the rebuild.
+**Packed formulation.**  Both passes run once over every slice graph
+of a build, held in one :class:`~repro.graphs.arrays.GraphPack` — one
+global node space in which graph ``g`` owns a contiguous node and edge
+range — so each numpy call is paid once per build, not once per graph:
+
+- distinct degrees come from one ``np.unique`` over ``lo * N + hi``
+  undirected pair keys; Stage-2 candidate groups from one over
+  ``(side * N + tx) * N + addr`` keys, ordered by ``(graph, side,
+  first edge)``;
+- Stage 3's ``S = A·Aᵀ`` of every graph is one block-diagonal
+  pair count over the incidence entries.  Each entry is an exact
+  integer, so ``M = S·D⁻¹`` is bit-identical however the pack is
+  summed.  The greedy merge loop stays per graph, runs only for
+  graphs with a row of more than σ non-zeros, and sorts that graph's
+  own rows, so ties break exactly as for the graph alone;
+- the merge is an array union-find: every old node id resolves through
+  one ``resolve`` lookup array (members to their hyper node, survivors
+  to their re-densified id; each graph's hyper nodes follow its own
+  survivors).  Node columns and value bags are re-gathered with fancy
+  indexing and parallel edges aggregate through one ``bincount`` in
+  first-seen order.  Graphs with no merge pass through untouched.
+
+Each graph of a pack comes out bit-identical to the same graph
+compressed alone.  The per-graph public functions are one-graph packs
+of the same kernels; no-op passes return the input graph itself.
 
 :class:`~repro.graphs.model.AddressGraph` inputs are accepted for
 compatibility (reference oracles, examples): they are converted to
@@ -41,12 +56,14 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.graphs.arrays import KIND_CODES, ArrayGraph, _segment_ranges
+from repro.graphs.arrays import KIND_CODES, ArrayGraph, GraphPack, _segment_ranges
 from repro.graphs.model import AddressGraph, NodeKind
 
 __all__ = [
     "compress_single_transaction_addresses",
     "compress_multi_transaction_addresses",
+    "compress_single_transaction_pack",
+    "compress_multi_transaction_pack",
     "similarity_matrices",
 ]
 
@@ -57,15 +74,32 @@ _MULTI_HYPER_CODE = KIND_CODES[NodeKind.MULTI_HYPER]
 
 AnyGraph = Union[AddressGraph, ArrayGraph]
 
-#: ``(hyper kind code, hyper ref, member node ids ascending)``.
-_MergeGroup = Tuple[int, str, np.ndarray]
 
+def _one_graph_pass(graph: AnyGraph, compress) -> AnyGraph:
+    """Run a pack pass over a one-graph pack of either graph flavour.
 
-def _as_arrays(graph: AnyGraph) -> Tuple[ArrayGraph, bool]:
-    """``(columnar view, was_object_model)`` for either graph flavour."""
+    A pass that merges nothing returns its input pack, and then the
+    input graph itself comes back.
+    """
     if isinstance(graph, ArrayGraph):
-        return graph, False
-    return ArrayGraph.from_address_graph(graph), True
+        arrays, was_object = graph, False
+    else:
+        arrays, was_object = ArrayGraph.from_address_graph(graph), True
+    pack = GraphPack.of([arrays])
+    out = compress(pack)
+    if out is pack:
+        return graph
+    compressed = out.graphs()[0]
+    return compressed.to_address_graph() if was_object else compressed
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal values in ``sorted_keys``."""
+    if sorted_keys.size == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(
+        np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
+    )
 
 
 def _unique_pairs(
@@ -79,140 +113,145 @@ def _unique_pairs(
 
 
 def _distinct_degrees(
-    src: np.ndarray, dst: np.ndarray, num_nodes: int
+    lo: np.ndarray, hi: np.ndarray, num_nodes: int
 ) -> np.ndarray:
-    """Distinct-neighbour count per node (self loops counted once)."""
-    lo, hi = _unique_pairs(src, dst, num_nodes)
+    """Distinct-neighbour count per node from :func:`_unique_pairs`
+    (self loops counted once)."""
     endpoints = np.concatenate([lo, hi[hi != lo]])
     return np.bincount(endpoints, minlength=num_nodes)
 
 
 def _rebuild_with_merges(
-    graph: ArrayGraph, merge_groups: List[_MergeGroup]
-) -> ArrayGraph:
-    """Rebuild ``graph`` with each ``(kind, ref, member_ids)`` group merged.
+    pack: GraphPack,
+    group_graphs: np.ndarray,
+    hyper_code: int,
+    group_refs: List[str],
+    member_ids: np.ndarray,
+    group_sizes: np.ndarray,
+) -> GraphPack:
+    """Rebuild ``pack`` with every merge group collapsed into a hyper node.
 
-    Member edges to the rest of the graph are aggregated per
-    ``(other node, direction)`` with summed values; member value bags are
-    concatenated (the input to SFE at feature-assembly time).  The merge
-    is resolved through flat lookup arrays (a one-level union-find whose
-    path compression is precomputed): survivors map to densely
-    re-assigned ids, members to their group's hyper-node id.  Node
-    columns, bags, and edges are all re-gathered with array kernels.
+    Group ``j`` belongs to graph ``group_graphs[j]`` (non-decreasing:
+    groups come ordered by graph, then by their pass's own order), has
+    ref ``group_refs[j]``, and its members are the next
+    ``group_sizes[j]`` entries of ``member_ids`` (ascending global
+    ids).  Each graph's survivors keep their relative order and its
+    hyper nodes (kind ``hyper_code``) follow them in group order, so
+    every graph's ids are exactly those of a rebuild of that graph
+    alone.
+
+    The merge resolves through one lookup array (a one-level union-find
+    whose path compression is precomputed): survivors map to their
+    densified id, members to their group's hyper node.  Member value
+    bags concatenate in member order (the input to SFE at
+    feature-assembly time).  Edges of graphs with a merge are remapped
+    and parallel edges aggregated per ``(src, dst)`` with summed values,
+    in first-seen order; edges of graphs without one pass through
+    unaggregated, as a pass that merges nothing leaves them.
     """
-    n = graph.num_nodes
-    group_of = np.full(n, -1, dtype=np.int64)
-    for group_index, (_, _, members) in enumerate(merge_groups):
-        group_of[members] = group_index
-
-    keep = group_of < 0
-    keep_ids = np.flatnonzero(keep)
-    num_kept = keep_ids.size
-    old_to_new = np.cumsum(keep) - 1  # densified ids for survivors
-    resolve = np.where(keep, old_to_new, num_kept + group_of)
-    num_new = num_kept + len(merge_groups)
+    n = pack.num_nodes
+    num_groups = group_sizes.size
+    keep = np.ones(n, dtype=bool)
+    keep[member_ids] = False
+    kept_ids = np.flatnonzero(keep)
+    # A graph's survivors follow every hyper node of the graphs before
+    # it; its own hyper nodes follow its last survivor.
+    group_ends = pack.node_offsets[1:][group_graphs]
+    kept_new = np.arange(kept_ids.size) + np.searchsorted(
+        group_ends, kept_ids, side="right"
+    )
+    hyper_ids = np.searchsorted(kept_ids, group_ends) + np.arange(num_groups)
+    resolve = np.empty(n, dtype=np.int64)
+    resolve[kept_ids] = kept_new
+    resolve[member_ids] = np.repeat(hyper_ids, group_sizes)
+    num_new = kept_ids.size + num_groups
+    node_offsets = np.searchsorted(kept_ids, pack.node_offsets) + np.searchsorted(
+        group_ends, pack.node_offsets, side="right"
+    )
 
     # --- node columns -------------------------------------------------- #
-    member_ids = np.concatenate([members for _, _, members in merge_groups])
-    group_sizes = np.fromiter(
-        (members.size for _, _, members in merge_groups),
-        dtype=np.int64,
-        count=len(merge_groups),
-    )
-    group_starts = np.zeros(len(merge_groups), dtype=np.int64)
-    np.cumsum(group_sizes[:-1], out=group_starts[1:])
-
-    kind_codes = np.concatenate(
-        [
-            graph.kind_codes[keep_ids],
-            np.fromiter(
-                (code for code, _, _ in merge_groups),
-                dtype=np.int64,
-                count=len(merge_groups),
-            ),
-        ]
-    )
-    refs = np.concatenate(
-        [
-            graph.refs[keep_ids],
-            np.array([ref for _, ref, _ in merge_groups], dtype=object),
-        ]
-    )
-    merged_counts = np.concatenate(
-        [
-            graph.merged_counts[keep_ids],
-            np.add.reduceat(graph.merged_counts[member_ids], group_starts),
-        ]
-    )
-
-    # --- value bags (survivors keep theirs; groups concatenate members') #
-    bag_len = np.diff(graph.bag_indptr)
-    sources = np.concatenate([keep_ids, member_ids])
-    lens = bag_len[sources]
+    kind_codes = np.empty(num_new, dtype=np.int64)
+    kind_codes[kept_new] = pack.kind_codes[kept_ids]
+    kind_codes[hyper_ids] = hyper_code
+    refs = np.empty(num_new, dtype=object)
+    refs[kept_new] = pack.refs[kept_ids]
+    refs[hyper_ids] = group_refs
+    merged_counts = np.bincount(
+        resolve, weights=pack.merged_counts, minlength=num_new
+    ).astype(np.int64)
+    # Every value moves to its node's new id; a stable sort keeps each
+    # new node's values in old node order, then bag order.
+    value_owner = np.repeat(resolve, pack.bag_indptr[1:] - pack.bag_indptr[:-1])
+    bag_values = pack.bag_values[np.argsort(value_owner, kind="stable")]
     bag_indptr = np.zeros(num_new + 1, dtype=np.int64)
     np.cumsum(
-        np.concatenate(
-            [lens[:num_kept], np.add.reduceat(lens[num_kept:], group_starts)]
-        )
-        if num_kept
-        else np.add.reduceat(lens, group_starts),
-        out=bag_indptr[1:],
+        np.bincount(value_owner, minlength=num_new), out=bag_indptr[1:]
     )
-    total = int(lens.sum())
-    if total:
-        positions = np.repeat(
-            graph.bag_indptr[sources], lens
-        ) + _segment_ranges(lens, total)
-        bag_values = graph.bag_values[positions]
-    else:
-        bag_values = np.empty(0, dtype=np.float64)
 
     # --- edges (remap through ``resolve``, aggregate parallel edges) --- #
-    new_src = resolve[graph.edge_src]
-    new_dst = resolve[graph.edge_dst]
+    new_src = resolve[pack.edge_src]
+    new_dst = resolve[pack.edge_dst]
     keys = new_src * num_new + new_dst
-    # np.unique with return_index sorts stably, so ``first`` marks each
-    # key's first occurrence; ordering by it reproduces the first-seen
-    # edge order of the pre-vectorization dict accumulation, and
-    # bincount accumulates parallel-edge values in the same edge order.
-    unique_keys, first, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
+    quiet = np.bincount(group_graphs, minlength=len(pack)) == 0
+    if quiet.any():
+        passthrough = np.repeat(quiet, np.diff(pack.edge_offsets))
+        keys[passthrough] = num_new * num_new + np.flatnonzero(passthrough)
+    # A stable sort keeps each key's edges in edge order: the first is
+    # its first occurrence, and bincount adds parallel-edge values in
+    # edge order.  Ordering keys by first occurrence reproduces each
+    # graph's first-seen edge order.
+    perm = np.argsort(keys, kind="stable")
+    sorted_keys = keys[perm]
+    is_first = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
+    sums = np.bincount(
+        np.cumsum(is_first) - 1, weights=pack.edge_values[perm]
     )
-    sums = np.bincount(inverse, weights=graph.edge_values)
-    order = np.argsort(first, kind="stable")
-    ordered_keys = unique_keys[order]
+    first = perm[is_first]
+    order = np.argsort(first)
+    first_edges = first[order]
 
     centrality = None
-    if graph.centrality is not None:
-        centrality = np.vstack(
-            [
-                graph.centrality[keep_ids],
-                np.zeros(
-                    (len(merge_groups), graph.centrality.shape[1]),
-                    dtype=np.float64,
-                ),
-            ]
+    if pack.centrality is not None:
+        centrality = np.zeros(
+            (num_new, pack.centrality.shape[1]), dtype=np.float64
         )
+        centrality[kept_new] = pack.centrality[kept_ids]
 
-    center_id = graph.center_node_id()
-    return ArrayGraph(
-        center_address=graph.center_address,
-        slice_index=graph.slice_index,
-        time_range=graph.time_range,
+    return GraphPack(
+        center_addresses=pack.center_addresses,
+        slice_indices=pack.slice_indices,
+        time_ranges=pack.time_ranges,
+        node_offsets=node_offsets,
+        edge_offsets=np.searchsorted(first_edges, pack.edge_offsets),
         kind_codes=kind_codes,
         refs=refs,
         merged_counts=merged_counts,
         bag_values=bag_values,
         bag_indptr=bag_indptr,
-        edge_src=ordered_keys // num_new,
-        edge_dst=ordered_keys % num_new,
+        edge_src=new_src[first_edges],
+        edge_dst=new_dst[first_edges],
         edge_values=sums[order],
-        edge_times=graph.edge_times[first[order]],
+        edge_times=pack.edge_times[first_edges],
+        centers=np.where(pack.centers >= 0, resolve[pack.centers], -1),
         centrality=centrality,
-        center_id=(
-            int(resolve[center_id]) if center_id is not None else None
-        ),
     )
+
+
+def _candidates(
+    pack: GraphPack, degree_ok
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(candidate mask, unique pair lo, unique pair hi)``.
+
+    Candidates are non-centre address nodes whose distinct-neighbour
+    count passes ``degree_ok``.
+    """
+    n = pack.num_nodes
+    lo, hi = _unique_pairs(pack.edge_src, pack.edge_dst, n)
+    candidate = (pack.kind_codes == _ADDRESS_CODE) & degree_ok(
+        _distinct_degrees(lo, hi, n)
+    )
+    candidate[pack.centers[pack.centers >= 0]] = False
+    return candidate, lo, hi
 
 
 # --------------------------------------------------------------------- #
@@ -220,87 +259,65 @@ def _rebuild_with_merges(
 # --------------------------------------------------------------------- #
 
 
-def _side_groups(
-    tx: np.ndarray,
-    addr: np.ndarray,
-    candidate: np.ndarray,
-    both_keys: np.ndarray,
-    num_nodes: int,
-) -> List[Tuple[int, np.ndarray]]:
-    """``(tx_id, mergeable member addr ids)`` per transaction for one side.
+def compress_single_transaction_pack(pack: GraphPack) -> GraphPack:
+    """Stage 2 over every graph of ``pack`` at once (Fig. 3).
 
-    ``tx``/``addr`` are the per-edge columns of that side in edge order.
-    Self-change pairs (``both_keys``) are removed and only groups of two
-    or more members survive; groups come back in first-edge order of
-    their transaction with members sorted ascending — the ordering of
-    the original dict/set accumulation.
+    Returns ``pack`` itself when no graph has anything to merge.
     """
-    if tx.size == 0:
-        return []
+    if pack.num_edges == 0:
+        return pack
+    n = pack.num_nodes
+    src, dst = pack.edge_src, pack.edge_dst
+    is_address = pack.kind_codes == _ADDRESS_CODE
+    is_transaction = pack.kind_codes == _TRANSACTION_CODE
+    candidate, _, _ = _candidates(pack, lambda degrees: degrees == 1)
+    in_edges = np.flatnonzero(is_address[src] & is_transaction[dst])
+    out_edges = np.flatnonzero(is_transaction[src] & is_address[dst])
+
+    # A candidate touches one transaction only, so one on both sides
+    # of it is self-change, which is left unmerged.
+    on_input = np.zeros(n, dtype=bool)
+    on_input[src[in_edges]] = True
+    out_addr = dst[out_edges]
+    candidate[out_addr[on_input[out_addr]]] = False
+
+    # One row per side edge, keyed ``side * n + tx`` — side 0 is the
+    # input side (address → tx), side 1 the output side.
+    side_tx = np.concatenate([dst[in_edges], n + src[out_edges]])
+    addr = np.concatenate([src[in_edges], out_addr])
     eligible = candidate[addr]
-    keys = np.unique(tx[eligible] * num_nodes + addr[eligible])
-    if both_keys.size:
-        keys = keys[~np.isin(keys, both_keys, assume_unique=True)]
-    if keys.size < 2:
-        return []
-    group_txs = keys // num_nodes
-    members = keys % num_nodes
-    # ``keys`` is sorted, so members lie contiguously per transaction.
-    unique_txs, starts = np.unique(group_txs, return_index=True)
+    keys = np.unique(side_tx[eligible] * n + addr[eligible])
+    # ``keys`` is sorted, so members lie contiguously per (side, tx),
+    # ascending by node id.
+    group_keys = keys // n
+    starts = _run_starts(group_keys)
     sizes = np.diff(np.append(starts, keys.size))
     big = sizes >= 2
     if not big.any():
-        return []
-    # Emit groups ordered by their transaction's first edge on this side.
-    tx_values, first_edge = np.unique(tx, return_index=True)
-    first_of_group = first_edge[np.searchsorted(tx_values, unique_txs[big])]
-    starts, sizes, group_txs = starts[big], sizes[big], unique_txs[big]
-    return [
-        (int(group_txs[i]), members[starts[i] : starts[i] + sizes[i]])
-        for i in np.argsort(first_of_group, kind="stable")
+        return pack
+    starts, sizes, group_keys = starts[big], sizes[big], group_keys[starts[big]]
+    # Groups run per graph, input side before output side, each side in
+    # the order of its transaction's first edge on that side.
+    first_edge = np.full(2 * n, pack.num_edges, dtype=np.int64)
+    np.minimum.at(first_edge, side_tx, np.concatenate([in_edges, out_edges]))
+    group_txs = group_keys % n
+    group_sides = group_keys // n
+    group_graphs = np.searchsorted(pack.node_offsets, group_txs, side="right") - 1
+    order = np.lexsort((first_edge[group_keys], group_sides, group_graphs))
+    starts, sizes = starts[order], sizes[order]
+    members = keys[
+        np.repeat(starts, sizes) + _segment_ranges(sizes, int(sizes.sum()))
+    ] % n
+    tags = ("in", "out")
+    refs = [
+        f"s:{tx_ref}:{tags[side]}"
+        for tx_ref, side in zip(
+            pack.refs[group_txs[order]], group_sides[order].tolist()
+        )
     ]
-
-
-def _compress_single(graph: ArrayGraph) -> ArrayGraph:
-    """Array-native single-transaction pass; returns input when no-op."""
-    if graph.num_edges == 0:
-        return graph
-    n = graph.num_nodes
-    src, dst = graph.edge_src, graph.edge_dst
-    is_address = graph.kind_codes == _ADDRESS_CODE
-    is_transaction = graph.kind_codes == _TRANSACTION_CODE
-    degrees = _distinct_degrees(src, dst, n)
-    center_id = graph.center_node_id()
-
-    in_mask = is_address[src] & is_transaction[dst]  # address → tx
-    out_mask = is_transaction[src] & is_address[dst]  # tx → address
-
-    # Addresses appearing on both sides of a transaction (self-change)
-    # are excluded; membership is tested on (tx, addr) pair keys.
-    in_keys = np.unique(dst[in_mask] * n + src[in_mask])
-    out_keys = np.unique(src[out_mask] * n + dst[out_mask])
-    both_keys = np.intersect1d(in_keys, out_keys, assume_unique=True)
-
-    candidate = is_address & (degrees == 1)
-    if center_id is not None:
-        candidate[center_id] = False
-
-    merge_groups: List[_MergeGroup] = []
-    for (tx_col, addr_col, tag) in (
-        (dst[in_mask], src[in_mask], "in"),
-        (src[out_mask], dst[out_mask], "out"),
-    ):
-        for tx_id, members in _side_groups(
-            tx_col, addr_col, candidate, both_keys, n
-        ):
-            tx_ref = graph.refs[tx_id]
-            merge_groups.append(
-                (_SINGLE_HYPER_CODE, f"s:{tx_ref}:{tag}", members)
-            )
-
-    if not merge_groups:
-        return graph
-    return _rebuild_with_merges(graph, merge_groups)
+    return _rebuild_with_merges(
+        pack, group_graphs[order], _SINGLE_HYPER_CODE, refs, members, sizes
+    )
 
 
 def compress_single_transaction_addresses(graph: AnyGraph) -> AnyGraph:
@@ -311,14 +328,11 @@ def compress_single_transaction_addresses(graph: AnyGraph) -> AnyGraph:
     side (plus any remaining multi-transaction or centre address nodes).
     Address nodes appearing on *both* sides of their single transaction
     (self-change) are left unmerged — they carry a distinct signature.
-    Accepts (and returns) either graph flavour; no-op passes return the
-    input graph itself.
+    A one-graph :func:`compress_single_transaction_pack`.  Accepts (and
+    returns) either graph flavour; no-op passes return the input graph
+    itself.
     """
-    arrays, was_object = _as_arrays(graph)
-    out = _compress_single(arrays)
-    if out is arrays:
-        return graph
-    return out.to_address_graph() if was_object else out
+    return _one_graph_pass(graph, compress_single_transaction_pack)
 
 
 # --------------------------------------------------------------------- #
@@ -326,39 +340,69 @@ def compress_single_transaction_addresses(graph: AnyGraph) -> AnyGraph:
 # --------------------------------------------------------------------- #
 
 
-def _similarity_columns(
-    graph: ArrayGraph,
+def _multi_rows(
+    pack: GraphPack,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Array-native core of :func:`similarity_matrices`."""
-    n = graph.num_nodes
-    src, dst = graph.edge_src, graph.edge_dst
-    is_address = graph.kind_codes == _ADDRESS_CODE
-    degrees = _distinct_degrees(src, dst, n)
-    center_id = graph.center_node_id()
+    """``(is_row, multi_ids, pair lo, pair hi)``.
 
-    multi_mask = is_address & (degrees >= 2)
-    if center_id is not None:
-        multi_mask[center_id] = False
-    multi_ids = np.flatnonzero(multi_mask)
-    tx_ids = np.flatnonzero(graph.kind_codes == _TRANSACTION_CODE)
+    The rows are the candidate multi-transaction address nodes (degree
+    ≥ 2, centre excluded) as a mask and as ascending global ids — so
+    each graph's rows are contiguous; ``lo``/``hi`` are the pack's
+    unique undirected node pairs.
+    """
+    is_row, lo, hi = _candidates(pack, lambda degrees: degrees >= 2)
+    return is_row, np.flatnonzero(is_row), lo, hi
 
-    row_of = np.full(n, -1, dtype=np.int64)
-    row_of[multi_ids] = np.arange(multi_ids.size)
-    col_of = np.full(n, -1, dtype=np.int64)
-    col_of[tx_ids] = np.arange(tx_ids.size)
 
-    incidence = np.zeros((multi_ids.size, tx_ids.size), dtype=np.float64)
-    if src.size:
-        lo, hi = _unique_pairs(src, dst, n)
-        for a, b in ((lo, hi), (hi, lo)):
-            hit = (row_of[a] >= 0) & (col_of[b] >= 0)
-            incidence[row_of[a[hit]], col_of[b[hit]]] = 1.0
+def _shared_counts(
+    pack: GraphPack,
+    is_row: np.ndarray,
+    multi_ids: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Block-diagonal ``S = A·Aᵀ`` of every graph, as sorted entries.
 
-    shared = incidence @ incidence.T
-    diagonal = np.diag(shared).copy()
-    safe = np.where(diagonal > 0, diagonal, 1.0)
-    similarity = shared / safe[np.newaxis, :]
-    return multi_ids, tx_ids, shared, similarity
+    ``A`` is the incidence of the rows of :func:`_multi_rows` on
+    transaction nodes, one column per ``tx_ids`` entry (ascending
+    global ids).  Returns ``(tx_ids, rows, cols, counts, diagonal)``:
+    the non-zero entries ``S[rows, cols] = counts`` in ``(row, col)``
+    order, and ``diagonal = diag(S)`` as float64.  Every entry is the
+    exact integer number of transactions two rows share, so ``S`` does
+    not depend on how the pack is summed.
+    """
+    is_transaction = pack.kind_codes == _TRANSACTION_CODE
+    tx_ids = np.flatnonzero(is_transaction)
+    num_rows = multi_ids.size
+    slot = np.empty(pack.num_nodes, dtype=np.int64)
+    slot[multi_ids] = np.arange(num_rows)
+    slot[tx_ids] = np.arange(tx_ids.size)
+
+    a = np.concatenate([lo, hi])
+    b = np.concatenate([hi, lo])
+    hit = is_row[a] & is_transaction[b]
+    # Incidence entries sorted by column: each transaction's rows form
+    # one segment, and S counts every ordered pair within a segment.
+    entries = np.sort(slot[b[hit]] * num_rows + slot[a[hit]])
+    entry_cols = entries // num_rows
+    entry_rows = entries % num_rows
+    col_sizes = np.bincount(entry_cols, minlength=tx_ids.size)
+    repeats = col_sizes[entry_cols]
+    col_starts = np.cumsum(col_sizes) - col_sizes
+    partners = entry_rows[
+        np.repeat(col_starts[entry_cols], repeats)
+        + _segment_ranges(repeats, int(repeats.sum()))
+    ]
+    pairs = np.sort(np.repeat(entry_rows, repeats) * num_rows + partners)
+    starts = _run_starts(pairs)
+    pair_keys = pairs[starts]
+    return (
+        tx_ids,
+        pair_keys // num_rows,
+        pair_keys % num_rows,
+        np.append(starts[1:], pairs.size) - starts,
+        np.bincount(entry_rows, minlength=num_rows).astype(np.float64),
+    )
 
 
 def similarity_matrices(
@@ -373,40 +417,90 @@ def similarity_matrices(
     s_jj`` — the fraction of j's transactions shared with i, exactly the
     paper's worked example ``m31 = s31 / s11 = 0.7``).
     """
-    arrays, _ = _as_arrays(graph)
-    multi_ids, tx_ids, shared, similarity = _similarity_columns(arrays)
+    if not isinstance(graph, ArrayGraph):
+        graph = ArrayGraph.from_address_graph(graph)
+    pack = GraphPack.of([graph])
+    is_row, multi_ids, lo, hi = _multi_rows(pack)
+    tx_ids, rows, cols, counts, _ = _shared_counts(
+        pack, is_row, multi_ids, lo, hi
+    )
+    shared = np.zeros((multi_ids.size, multi_ids.size), dtype=np.float64)
+    shared[rows, cols] = counts
+    diagonal = np.diag(shared).copy()
+    safe = np.where(diagonal > 0, diagonal, 1.0)
+    similarity = shared / safe[np.newaxis, :]
     return list(map(int, multi_ids)), list(map(int, tx_ids)), shared, similarity
 
 
-def _compress_multi(
-    graph: ArrayGraph, psi: float, sigma: int
-) -> ArrayGraph:
-    """Array-native multi-transaction pass; returns input when no-op."""
-    multi_ids, _, _, similarity = _similarity_columns(graph)
-    if multi_ids.size < 2:
-        return graph
+def compress_multi_transaction_pack(
+    pack: GraphPack, psi: float = 0.6, sigma: int = 2
+) -> GraphPack:
+    """Stage 3 over every graph of ``pack`` at once (Eq. 3–7).
 
-    thresholded = np.maximum(0.0, similarity - psi)  # Eq. (5)
-    positive = thresholded > 0.0
-    nonzero_counts = positive.sum(axis=1)
+    ``S`` and the thresholded similarity ``Q = ReLU(S·D⁻¹ − Ψ)`` of
+    every graph come from one block-diagonal computation
+    (:func:`_shared_counts`).  The greedy merge loop then runs per
+    graph, and only for graphs with a row of more than ``sigma``
+    non-zeros, on that graph's own rows — so its densest-first order,
+    ties included, is that of the graph compressed alone.  Returns
+    ``pack`` itself when no graph has anything to merge.
+    """
+    if not 0.0 < psi <= 1.0:
+        raise ValidationError(f"psi must be in (0, 1], got {psi}")
+    if sigma < 1:
+        raise ValidationError(f"sigma must be >= 1, got {sigma}")
+    is_row, multi_ids, lo, hi = _multi_rows(pack)
+    # A row's non-zeros lie within its own graph's rows.
+    row_starts = np.searchsorted(multi_ids, pack.node_offsets)
+    if (row_starts[1:] - row_starts[:-1]).max() <= sigma:
+        return pack
+    _, rows, cols, counts, diagonal = _shared_counts(
+        pack, is_row, multi_ids, lo, hi
+    )
+    # m_ij = s_ij / s_jj (Eq. 4); only non-zero s_ij can clear Ψ > 0.
+    positive = counts / diagonal[cols] - psi > 0.0  # Q > 0 (Eq. 5)
+    rows, cols = rows[positive], cols[positive]
+    nonzero_counts = np.bincount(rows, minlength=multi_ids.size)
+    dense_rows = np.flatnonzero(nonzero_counts > sigma)
+    if dense_rows.size == 0:
+        return pack
 
+    row_indptr = np.searchsorted(rows, np.arange(multi_ids.size + 1))
+    dense_graphs = np.searchsorted(
+        pack.node_offsets, multi_ids[dense_rows], side="right"
+    ) - 1
     merged = np.zeros(multi_ids.size, dtype=bool)
-    merge_groups: List[_MergeGroup] = []
-    for row in np.argsort(-nonzero_counts):
-        row = int(row)
-        if nonzero_counts[row] <= sigma or merged[row]:
-            continue
-        similar_rows = np.flatnonzero(positive[row] & ~merged)
-        if similar_rows.size < 2:
-            continue
-        merged[similar_rows] = True
-        members = multi_ids[similar_rows]
-        anchor_ref = graph.refs[multi_ids[row]]
-        merge_groups.append((_MULTI_HYPER_CODE, f"m:{anchor_ref}", members))
+    group_graphs: List[int] = []
+    group_refs: List[str] = []
+    members: List[np.ndarray] = []
+    for g in np.unique(dense_graphs).tolist():
+        lo = int(row_starts[g])
+        graph_counts = nonzero_counts[lo : row_starts[g + 1]]
+        for row in np.argsort(-graph_counts).tolist():
+            if graph_counts[row] <= sigma:
+                break
+            row += lo
+            if merged[row]:
+                continue
+            similar = cols[row_indptr[row] : row_indptr[row + 1]]
+            similar = similar[~merged[similar]]
+            if similar.size < 2:
+                continue
+            merged[similar] = True
+            group_graphs.append(g)
+            group_refs.append(f"m:{pack.refs[multi_ids[row]]}")
+            members.append(multi_ids[similar])
 
-    if not merge_groups:
-        return graph
-    return _rebuild_with_merges(graph, merge_groups)
+    if not members:
+        return pack
+    return _rebuild_with_merges(
+        pack,
+        np.array(group_graphs, dtype=np.int64),
+        _MULTI_HYPER_CODE,
+        group_refs,
+        np.concatenate(members),
+        np.array([m.size for m in members], dtype=np.int64),
+    )
 
 
 def compress_multi_transaction_addresses(
@@ -419,16 +513,14 @@ def compress_multi_transaction_addresses(
     ``Q = ReLU(M − Ψ)`` thresholds the similarity; a node whose row has
     more than ``sigma`` non-zeros is merged with its similar set.  Groups
     are formed greedily from the densest rows; each node joins at most
-    one hyper node.  Accepts (and returns) either graph flavour; no-op
-    passes return the input graph itself.
+    one hyper node.  A one-graph :func:`compress_multi_transaction_pack`.
+    Accepts (and returns) either graph flavour; no-op passes return the
+    input graph itself.
     """
     if not 0.0 < psi <= 1.0:
         raise ValidationError(f"psi must be in (0, 1], got {psi}")
     if sigma < 1:
         raise ValidationError(f"sigma must be >= 1, got {sigma}")
-
-    arrays, was_object = _as_arrays(graph)
-    out = _compress_multi(arrays, psi, sigma)
-    if out is arrays:
-        return graph
-    return out.to_address_graph() if was_object else out
+    return _one_graph_pass(
+        graph, lambda pack: compress_multi_transaction_pack(pack, psi, sigma)
+    )

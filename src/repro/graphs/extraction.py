@@ -8,13 +8,14 @@ retained").
 
 Two builders produce the same graph: :func:`build_original_graph`
 constructs the object model (:class:`~repro.graphs.model.AddressGraph`)
-and :func:`build_original_arrays` constructs the columnar
-:class:`~repro.graphs.arrays.ArrayGraph` directly — node ids assigned in
-the identical first-seen order, edges in the identical transaction
-order, value bags assembled in one vectorized pass instead of per-edge
-list appends.  The pipeline uses the array builder; the object builder
-remains the readable reference (and the substrate of the parity oracle
-tests).
+and :func:`build_original_pack` constructs the columnar graphs of many
+slices at once, in one :class:`~repro.graphs.arrays.GraphPack` — node
+ids assigned in the identical first-seen order within each slice, edges
+in the identical transaction order, value bags of the whole pack
+assembled in one vectorized pass instead of per-edge list appends.
+:func:`build_original_arrays` is its one-slice form.  The pipeline uses
+the pack builder; the object builder remains the readable reference
+(and the substrate of the parity oracle tests).
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ import numpy as np
 from repro.chain.explorer import ChainIndex
 from repro.chain.transaction import Transaction
 from repro.errors import GraphConstructionError, ValidationError
-from repro.graphs.arrays import KIND_CODES, ArrayGraph, _segment_ranges
+from repro.graphs.arrays import KIND_CODES, ArrayGraph, GraphPack, _segment_ranges
 from repro.graphs.model import AddressGraph, NodeKind
 
 __all__ = [
     "slice_transactions",
     "build_original_graph",
     "build_original_arrays",
+    "build_original_pack",
     "build_arrays_from_index",
     "build_arrays_from_columns",
     "extract_graphs",
@@ -121,18 +123,29 @@ def build_original_arrays(
 ) -> ArrayGraph:
     """The uncompressed slice graph of :func:`build_original_graph`, columnar.
 
-    Produces the exact structure of the object builder — same first-seen
-    node ids, same edge order — but lands directly in
-    :class:`~repro.graphs.arrays.ArrayGraph` columns: one Python pass
-    collects the per-edge (address, value, side) records and everything
-    downstream (value bags, time range) is assembled with array kernels.
+    A one-slice :func:`build_original_pack`: same first-seen node ids,
+    same edge order as the object builder.
     """
-    if not transactions:
-        raise GraphConstructionError(
-            f"cannot build a graph for {center_address[:12]} from zero transactions"
-        )
-    tx_of: dict = {}
-    addr_of: dict = {}
+    return build_original_pack(
+        [center_address], [transactions], [slice_index]
+    ).graphs()[0]
+
+
+def build_original_pack(
+    center_addresses: Sequence[str],
+    slices: Sequence[Sequence[Transaction]],
+    slice_indices: Sequence[int],
+) -> GraphPack:
+    """Uncompressed slice graphs of many slices, in one :class:`GraphPack`.
+
+    Slice ``k`` is the graph of ``center_addresses[k]`` over
+    ``slices[k]``, exactly as :func:`build_original_graph` builds it:
+    node ids are first-seen ranks within the slice (offset by the
+    slice's place in the pack), edges keep transaction order.  One
+    Python pass over every slice's transactions appends to shared
+    column lists; value bags and edge timestamps are then assembled for
+    the whole pack with array kernels.
+    """
     kind_codes: List[int] = []
     refs: List[str] = []
     src: List[int] = []
@@ -140,45 +153,63 @@ def build_original_arrays(
     values: List[int] = []
     stamps: List[float] = []
     edges_per_tx: List[int] = []
+    node_offsets = [0]
+    edge_offsets = [0]
+    centers: List[int] = []
+    time_ranges = []
     kinds_append = kind_codes.append
     refs_append = refs.append
     src_append = src.append
     dst_append = dst.append
     values_append = values.append
-    get_tx = tx_of.get
-    get_addr = addr_of.get
 
-    for tx in transactions:
-        txid = tx.txid
-        tx_node = get_tx(txid)
-        if tx_node is None:
-            tx_node = tx_of[txid] = len(refs)
-            kinds_append(_TRANSACTION_CODE)
-            refs_append(txid)
-        inputs = tx.inputs
-        outputs = tx.outputs
-        for inp in inputs:
-            address = inp.address
-            addr_node = get_addr(address)
-            if addr_node is None:
-                addr_node = addr_of[address] = len(refs)
-                kinds_append(_ADDRESS_CODE)
-                refs_append(address)
-            src_append(addr_node)
-            dst_append(tx_node)
-            values_append(inp.value)
-        for out in outputs:
-            address = out.address
-            addr_node = get_addr(address)
-            if addr_node is None:
-                addr_node = addr_of[address] = len(refs)
-                kinds_append(_ADDRESS_CODE)
-                refs_append(address)
-            src_append(tx_node)
-            dst_append(addr_node)
-            values_append(out.value)
-        stamps.append(tx.timestamp)
-        edges_per_tx.append(len(inputs) + len(outputs))
+    for center_address, transactions in zip(center_addresses, slices):
+        if not transactions:
+            raise GraphConstructionError(
+                f"cannot build a graph for {center_address[:12]} from zero"
+                " transactions"
+            )
+        tx_of: dict = {}
+        addr_of: dict = {}
+        get_tx = tx_of.get
+        get_addr = addr_of.get
+        first_stamp = len(stamps)
+        for tx in transactions:
+            txid = tx.txid
+            tx_node = get_tx(txid)
+            if tx_node is None:
+                tx_node = tx_of[txid] = len(refs)
+                kinds_append(_TRANSACTION_CODE)
+                refs_append(txid)
+            inputs = tx.inputs
+            outputs = tx.outputs
+            for inp in inputs:
+                address = inp.address
+                addr_node = get_addr(address)
+                if addr_node is None:
+                    addr_node = addr_of[address] = len(refs)
+                    kinds_append(_ADDRESS_CODE)
+                    refs_append(address)
+                src_append(addr_node)
+                dst_append(tx_node)
+                values_append(inp.value)
+            for out in outputs:
+                address = out.address
+                addr_node = get_addr(address)
+                if addr_node is None:
+                    addr_node = addr_of[address] = len(refs)
+                    kinds_append(_ADDRESS_CODE)
+                    refs_append(address)
+                src_append(tx_node)
+                dst_append(addr_node)
+                values_append(out.value)
+            stamps.append(tx.timestamp)
+            edges_per_tx.append(len(inputs) + len(outputs))
+        slice_stamps = stamps[first_stamp:]
+        time_ranges.append((min(slice_stamps), max(slice_stamps)))
+        centers.append(addr_of.get(center_address, -1))
+        node_offsets.append(len(refs))
+        edge_offsets.append(len(src))
 
     n = len(kind_codes)
     edge_src = np.array(src, dtype=np.int64)
@@ -188,15 +219,15 @@ def build_original_arrays(
         np.array(stamps, dtype=np.float64),
         np.array(edges_per_tx, dtype=np.int64),
     )
-
     bag_values, bag_indptr = _bags_from_edges(
         edge_src, edge_dst, edge_values, n
     )
-
-    return ArrayGraph(
-        center_address=center_address,
-        slice_index=slice_index,
-        time_range=(min(stamps), max(stamps)),
+    return GraphPack(
+        center_addresses=list(center_addresses),
+        slice_indices=list(slice_indices),
+        time_ranges=time_ranges,
+        node_offsets=np.array(node_offsets, dtype=np.int64),
+        edge_offsets=np.array(edge_offsets, dtype=np.int64),
         kind_codes=np.array(kind_codes, dtype=np.int64),
         refs=np.array(refs, dtype=object),
         merged_counts=np.ones(n, dtype=np.int64),
@@ -206,7 +237,7 @@ def build_original_arrays(
         edge_dst=edge_dst,
         edge_values=edge_values,
         edge_times=edge_times,
-        center_id=addr_of.get(center_address),
+        centers=np.array(centers, dtype=np.int64),
     )
 
 
@@ -228,8 +259,9 @@ def build_arrays_from_index(
     :func:`build_original_arrays` / :func:`build_original_graph`.
 
     Measured on paper-scale slices (≤100 transactions) the dict-based
-    :func:`build_original_arrays` still wins — numpy fixed overhead
-    dominates at that size — so the pipeline uses it; this builder pulls
+    builder (:func:`build_original_pack`) still wins — numpy fixed
+    overhead dominates at that size — so the pipeline uses it; this
+    builder pulls
     ahead only for very large slices (hundreds of transactions) where
     the memoised columns amortise, and is kept as the chain-scale
     columnar path (BABD-scale corpora, sharded indices).
@@ -393,7 +425,6 @@ def extract_array_graphs(
             f"address {address[:12]} has no transactions on chain"
         )
     slices = slice_transactions(transactions, slice_size)
-    return [
-        build_original_arrays(address, chunk, slice_index=i)
-        for i, chunk in enumerate(slices)
-    ]
+    return build_original_pack(
+        [address] * len(slices), slices, range(len(slices))
+    ).graphs()

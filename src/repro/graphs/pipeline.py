@@ -6,16 +6,19 @@ augmentation — with per-stage wall-clock accounting, so Table V's
 stage-cost breakdown can be regenerated directly from the pipeline's
 timer.
 
-The pipeline runs natively on the columnar
-:class:`~repro.graphs.arrays.ArrayGraph` substrate: Stage 1 builds edge
-and value-bag arrays directly from the transaction slices, Stages 2–3
-compress those arrays in place (array union-find + ``bincount``
-aggregation, no per-node object rebuilds), and Stage 4 attaches the
-centrality matrix as one column — by default computed for *all* slice
-graphs of the call in one block-diagonal batched sweep
-(:func:`~repro.graphs.augmentation.augment_graphs`; see
-``GraphPipelineConfig.batch_stage4``).  Callers that want the object
-model convert with :meth:`~repro.graphs.model.AddressGraph.from_arrays`.
+The pipeline runs natively on columnar arrays, and each stage runs once
+per build over every slice graph of the call: Stage 1 builds all of
+them from the transaction slices into one
+:class:`~repro.graphs.arrays.GraphPack` (one global node space with
+per-graph offsets), Stages 2–3 compress the pack in one pass each
+(array union-find + ``bincount`` aggregation, no per-graph loop), and
+the pack is cut into per-graph :class:`~repro.graphs.arrays.ArrayGraph`
+views only where Stage 4 takes them.  Stage 4 attaches the centrality
+matrix as one column, by default computed in block-diagonal batched
+sweeps (:func:`~repro.graphs.augmentation.augment_graphs`; see
+``GraphPipelineConfig.batch_stage4``).  Every graph is bit-identical to
+a build of its slice alone.  Callers that want the object model convert
+with :meth:`~repro.graphs.model.AddressGraph.from_arrays`.
 """
 
 from __future__ import annotations
@@ -32,13 +35,13 @@ from repro.chain.explorer import ChainIndex
 from repro.errors import GraphConstructionError, ValidationError
 from repro.graphs.augmentation import augment_graph, augment_graphs
 from repro.graphs.compression import (
-    compress_multi_transaction_addresses,
-    compress_single_transaction_addresses,
+    compress_multi_transaction_pack,
+    compress_single_transaction_pack,
 )
-from repro.graphs.arrays import ArrayGraph
+from repro.graphs.arrays import ArrayGraph, GraphPack
 from repro.graphs.extraction import (
     build_arrays_from_columns,
-    build_original_arrays,
+    build_original_pack,
     slice_transactions,
 )
 from repro.utils.timer import StageTimer
@@ -84,10 +87,13 @@ _STAGE_SPANS = {
 def _observe_stage(name: str, seconds: float, count: int) -> None:
     """StageTimer observer feeding per-stage histograms.
 
-    One observation per accumulation event (a timed per-graph stage
-    entry, or one batched sweep), matching how operators read stage
-    latency distributions; the legacy per-graph *means* still come
-    from the timer itself via :func:`stage_report_from_timer`.
+    One observation per accumulation event: one packed Stage-1/2/3
+    pass or one batched Stage-4 sweep over a build's graphs (or one
+    per-graph Stage-4 entry with ``batch_stage4`` off), matching how
+    operators read stage latency distributions; the legacy per-graph
+    *means* still come from the timer itself via
+    :func:`stage_report_from_timer`, since each pass is recorded with
+    ``count`` = the graphs it covered.
     """
     metric = _STAGE_HISTOGRAMS.get(name)
     if metric is not None:
@@ -176,127 +182,128 @@ class GraphConstructionPipeline:
         every slice (equivalent to :meth:`build`).  Graphs are returned
         in ascending slice order.
         """
-        graphs = self._build_compressed(index, address, slice_indices)
-        if self.config.enable_augmentation:
-            graphs = self._augment(graphs)
-        return graphs
-
-    def _build_compressed(
-        self,
-        index: ChainIndex,
-        address: str,
-        slice_indices: Optional[Sequence[int]],
-    ) -> List[ArrayGraph]:
-        """Stages 1–3 for one address (extraction + both compressions).
-
-        Two column sources feed the extraction: the default path fetches
-        Python ``Transaction`` objects and builds with
-        :func:`build_original_arrays`; a store-backed index (one
-        exposing ``transaction_columns_of``) is sliced straight from its
-        mapped, pre-sorted :class:`~repro.chain.explorer.TxArrays`
-        columns and built with
-        :func:`~repro.graphs.extraction.build_arrays_from_columns` —
-        identical output, no materialised transaction objects.
-        """
-        with obs.span(_STAGE_SPANS[STAGE_NAMES[0]]):
-            graphs = self._extract(index, address, slice_indices)
-        return self._compress(graphs)
+        return self.build_many_slices(index, {address: slice_indices})[
+            address
+        ]
 
     def _extract(
         self,
         index: ChainIndex,
-        address: str,
-        slice_indices: Optional[Sequence[int]],
-    ) -> List[ArrayGraph]:
-        """Stage 1 proper: slice the history and build original arrays."""
-        start = time.perf_counter()
-        columns_of = getattr(index, "transaction_columns_of", None)
-        if columns_of is not None:
-            size = self.config.slice_size
-            if size <= 0:
-                raise ValidationError(
-                    f"slice_size must be > 0, got {size}"
-                )
-            columns = columns_of(address)
-            if not columns:
-                raise GraphConstructionError(
-                    f"address {address[:12]} has no transactions on chain"
-                )
-            slices = [
-                columns[s: s + size] for s in range(0, len(columns), size)
-            ]
-        else:
-            transactions = index.transactions_of(address)
-            if not transactions:
-                raise GraphConstructionError(
-                    f"address {address[:12]} has no transactions on chain"
-                )
-            slices = slice_transactions(transactions, self.config.slice_size)
-        if slice_indices is None:
-            wanted = list(range(len(slices)))
-        else:
-            wanted = sorted(set(int(i) for i in slice_indices))
-            for i in wanted:
-                if not 0 <= i < len(slices):
-                    raise ValidationError(
-                        f"slice index {i} out of range [0, {len(slices)})"
-                        f" for {address[:12]}"
-                    )
-        prep_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        if columns_of is not None:
-            graphs = [
-                build_arrays_from_columns(
-                    index, address, slices[i], slice_index=i
-                )
-                for i in wanted
-            ]
-        else:
-            graphs = [
-                build_original_arrays(address, slices[i], slice_index=i)
-                for i in wanted
-            ]
-        build_seconds = time.perf_counter() - start
-        if graphs:
-            # Stage 1 covers fetch + chronological slicing + construction.
-            # Fetch/slicing spans the whole history, so a partial rebuild
-            # is only charged its share of it — keeping the per-graph mean
-            # (Table V) comparable between full and incremental builds.
-            prep_share = prep_seconds * len(wanted) / len(slices)
-            self.timer.add(
-                STAGE_NAMES[0],
-                prep_share + build_seconds,
-                count=len(graphs),
-            )
-        return graphs
+        requests: "Dict[str, Optional[Sequence[int]]]",
+    ) -> Tuple[Optional[GraphPack], Dict[str, int]]:
+        """Stage 1 for every requested slice, as one pack.
 
-    def _compress(self, graphs: List[ArrayGraph]) -> List[ArrayGraph]:
-        """Stages 2–3 over extracted graphs, timed per graph."""
+        Returns the pack (``None`` when nothing was requested) and how
+        many of its graphs belong to each address, in request order.
+        Two column sources feed the extraction: the default path slices
+        Python ``Transaction`` objects and builds every slice of the
+        call in one :func:`build_original_pack` pass; a store-backed
+        index (one exposing ``transaction_columns_of``) is sliced
+        straight from its mapped, pre-sorted
+        :class:`~repro.chain.explorer.TxArrays` columns, each slice
+        built with
+        :func:`~repro.graphs.extraction.build_arrays_from_columns` and
+        then packed — identical output, no materialised transaction
+        objects.
+        """
+        columns_of = getattr(index, "transaction_columns_of", None)
+        size = self.config.slice_size
+        centers: List[str] = []
+        chunks: list = []
+        wanted_indices: List[int] = []
+        counts: Dict[str, int] = {}
+        prep_seconds = 0.0
+        for address, slice_indices in requests.items():
+            start = time.perf_counter()
+            if columns_of is not None:
+                history = columns_of(address)
+                slices = [
+                    history[s: s + size] for s in range(0, len(history), size)
+                ]
+            else:
+                history = index.transactions_of(address)
+                slices = slice_transactions(history, size)
+            if not history:
+                raise GraphConstructionError(
+                    f"address {address[:12]} has no transactions on chain"
+                )
+            if slice_indices is None:
+                wanted = list(range(len(slices)))
+            else:
+                wanted = sorted(set(int(i) for i in slice_indices))
+                for i in wanted:
+                    if not 0 <= i < len(slices):
+                        raise ValidationError(
+                            f"slice index {i} out of range [0, {len(slices)})"
+                            f" for {address[:12]}"
+                        )
+            # Fetch/slicing spans the whole history, so a partial rebuild
+            # is only charged its share of it — keeping the per-graph
+            # mean (Table V) comparable between full and incremental
+            # builds.
+            prep_seconds += (
+                (time.perf_counter() - start) * len(wanted) / len(slices)
+            )
+            counts[address] = len(wanted)
+            centers.extend([address] * len(wanted))
+            chunks.extend(slices[i] for i in wanted)
+            wanted_indices.extend(wanted)
+        start = time.perf_counter()
+        if not chunks:
+            return None, counts
+        if columns_of is not None:
+            pack = GraphPack.of(
+                [
+                    build_arrays_from_columns(
+                        index, center, chunk, slice_index=i
+                    )
+                    for center, chunk, i in zip(
+                        centers, chunks, wanted_indices
+                    )
+                ]
+            )
+        else:
+            pack = build_original_pack(centers, chunks, wanted_indices)
+        # Stage 1 covers fetch + chronological slicing + construction.
+        self.timer.add(
+            STAGE_NAMES[0],
+            prep_seconds + time.perf_counter() - start,
+            count=len(pack),
+        )
+        return pack, counts
+
+    def _compress(self, pack: GraphPack) -> GraphPack:
+        """Stages 2–3, each one packed pass over every graph of the build.
+
+        Each pass is timed once and amortised over the pack
+        (``count=len(pack)``), so ``stage_report()`` keeps its
+        per-graph mean semantics.
+        """
         cfg = self.config
         stages = [
             (
                 cfg.enable_single_compression,
                 STAGE_NAMES[1],
-                compress_single_transaction_addresses,
+                compress_single_transaction_pack,
             ),
             (
                 cfg.enable_multi_compression,
                 STAGE_NAMES[2],
-                lambda g: compress_multi_transaction_addresses(
-                    g, psi=cfg.psi, sigma=cfg.sigma
+                lambda p: compress_multi_transaction_pack(
+                    p, psi=cfg.psi, sigma=cfg.sigma
                 ),
             ),
         ]
         for enabled, name, transform in stages:
             if not enabled:
                 continue
-            processed = []
             with obs.span(_STAGE_SPANS[name]):
-                for graph in graphs:
-                    with self.timer.stage(name):
-                        processed.append(transform(graph))
-            graphs = processed
-        return graphs
+                start = time.perf_counter()
+                pack = transform(pack)
+                self.timer.add(
+                    name, time.perf_counter() - start, count=len(pack)
+                )
+        return pack
 
     def _augment(self, graphs: List[ArrayGraph]) -> List[ArrayGraph]:
         """Stage 4, batched across ``graphs`` unless configured off.
@@ -341,24 +348,30 @@ class GraphConstructionPipeline:
         index: ChainIndex,
         requests: "Dict[str, Optional[Sequence[int]]]",
     ) -> Dict[str, List[ArrayGraph]]:
-        """Requested slice graphs of many addresses, one Stage-4 batch.
+        """Requested slice graphs of many addresses, each stage once.
 
         ``requests`` maps each address to the slice indices wanted
-        (``None`` = every slice, like :meth:`build`).  Stages 1–3 run
-        per address; the Stage-4 centrality sweep then runs once over
-        the union of all slice graphs of the call — the cross-address
-        batching the serving layer uses to amortise the hottest kernel
-        over a whole ``score()`` query.  Results are identical to
-        calling :meth:`build_slices` per address.
+        (``None`` = every slice, like :meth:`build`).  Every stage runs
+        once over the union of all slice graphs of the call: Stage 1
+        builds them into one :class:`~repro.graphs.arrays.GraphPack`,
+        Stages 2–3 compress the pack in one pass each, and the pack is
+        cut into per-graph :class:`ArrayGraph` s only for the Stage-4
+        centrality sweep — the cross-address batching the serving layer
+        uses to amortise construction over a whole ``score()`` query.
+        Every graph is identical to a build of its slice alone.
         """
-        prepared = {
-            address: self._build_compressed(index, address, slice_indices)
-            for address, slice_indices in requests.items()
-        }
+        with obs.span(_STAGE_SPANS[STAGE_NAMES[0]]):
+            pack, counts = self._extract(index, requests)
+        if pack is None:
+            return {address: [] for address in requests}
+        graphs = self._compress(pack).graphs()
         if self.config.enable_augmentation:
-            self._augment(
-                [graph for graphs in prepared.values() for graph in graphs]
-            )
+            self._augment(graphs)
+        prepared: Dict[str, List[ArrayGraph]] = {}
+        start = 0
+        for address, count in counts.items():
+            prepared[address] = graphs[start : start + count]
+            start += count
         return prepared
 
     def stage_report(self) -> List[Dict[str, float]]:

@@ -676,7 +676,8 @@ def _worker_main(
 
     Observability rides the same messages: each ``build`` carries the
     parent's trace context, the worker runs the construction under a
-    ``worker.build`` span parented to it, and every result ships the
+    ``worker.build`` span parented to it (encoding under a nested
+    ``worker.encode`` span), and every result ships the
     worker's drained metric/span deltas back — no extra IPC.  The
     reset below matters under fork: the child inherits the parent's
     registry *values*, which must not be re-shipped as deltas.
@@ -703,7 +704,8 @@ def _worker_main(
                 graphs_by_address, timer = worker_build_slices(
                     index, dict(requests), pipeline_config
                 )
-                encoded = encode_sequences(graphs_by_address)
+                with obs.span("worker.encode"):
+                    encoded = encode_sequences(graphs_by_address)
                 if gfn_k is not None:
                     for rows in encoded.values():
                         for row in rows:
@@ -1623,7 +1625,8 @@ class ClusterScoringService:
                     graphs_by_address = pipeline.build_many_slices(
                         shard.index, requests
                     )
-                built.update(encode_sequences(graphs_by_address))
+                with obs.span("serve.encode"):
+                    built.update(encode_sequences(graphs_by_address))
                 shard.merge_timer(pipeline.timer)
         return built
 

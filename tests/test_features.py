@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.chain import AddressFactory, Blockchain, ChainParams, Mempool, Wallet, attach_index, btc
 from repro.features import (
@@ -15,6 +15,7 @@ from repro.features import (
     sfe_vector,
     signed_log1p,
 )
+from repro.features.sfe import sfe_matrix_segments
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -65,6 +66,21 @@ class TestSFEBasics:
             scipy.stats.kurtosis(values, fisher=True, bias=True), rel=1e-9
         )
 
+    def test_tiny_magnitude_bag(self):
+        """A two-level bag has std = half its spread, cv 1, skewness 0
+        and excess kurtosis -2 at any magnitude — including ~1e-160,
+        where the squared deviations underflow."""
+        values = [0.0, 9.506808005204821e-163]
+        for row in (
+            sfe_vector(values),
+            sfe_matrix_segments(np.array(values), np.array([0, 2]))[0],
+        ):
+            vec = dict(zip(SFE_FEATURE_NAMES, row))
+            assert vec["std"] == values[1] / 2
+            assert vec["cv"] == 1.0
+            assert vec["skewness"] == 0.0
+            assert vec["kurtosis"] == -2.0
+
     def test_cv_zero_mean(self):
         vec = dict(zip(SFE_FEATURE_NAMES, sfe_vector([-1.0, 1.0])))
         assert vec["cv"] == 0.0
@@ -88,6 +104,10 @@ class TestSFEProperties:
         st.lists(finite_floats, min_size=1, max_size=20),
         st.floats(min_value=0.1, max_value=100.0),
     )
+    # Found by --hypothesis-seed=1224: squared deviations of a bag this
+    # small used to underflow, zeroing std and distorting the shape
+    # statistics.
+    @example(values=[0.0, 9.506808005204821e-163], scale=4.0)
     @settings(max_examples=40, deadline=None)
     def test_positive_scaling_equivariance(self, values, scale):
         """Value-scaled stats scale linearly; shape stats are invariant."""

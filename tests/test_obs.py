@@ -296,6 +296,23 @@ class TestSingleServiceWiring:
         hist = snap["histograms"]["serve_request_seconds"]
         assert sum(hist["counts"]) == 1
 
+    def test_inline_encode_span_nests_under_serve_build(self, economy):
+        _, index, addresses, classifier = economy
+        service = AddressScoringService(classifier, index)
+        try:
+            service.score(addresses[:3])
+        finally:
+            service.close()
+        (trace,) = obs.export_traces()
+        (root,) = trace["spans"]
+        (build,) = [s for s in _walk(root) if s["name"] == "serve.build"]
+        child_names = [c["name"] for c in build["children"]]
+        assert child_names.count("serve.encode") == 1
+        # Encoding follows construction inside the build.
+        assert child_names.index("serve.encode") > child_names.index(
+            "pipeline.stage4_augmentation"
+        )
+
     def test_unknown_rejection_counted_by_score(self, economy):
         _, index, addresses, classifier = economy
         service = AddressScoringService(classifier, index)
@@ -379,6 +396,28 @@ class TestClusterCrossProcess:
         for worker_span in worker_spans:
             child_names = {c["name"] for c in worker_span["children"]}
             assert "pipeline.stage1_extraction" in child_names
+
+    def test_worker_encode_span_nests_under_worker_build(self, economy):
+        _, index, addresses, classifier = economy
+        cluster = ClusterScoringService(
+            classifier,
+            index,
+            config=ClusterConfig(num_shards=2, num_workers=2),
+        )
+        try:
+            cluster.score(addresses[:4])
+        finally:
+            cluster.close()
+        (trace,) = obs.export_traces()
+        (root,) = trace["spans"]
+        spans = list(_walk(root))
+        encodes = [s for s in spans if s["name"] == "worker.encode"]
+        assert encodes, "no worker.encode span on the request trace"
+        for build in (s for s in spans if s["name"] == "worker.build"):
+            assert [
+                c["name"] for c in build["children"]
+            ].count("worker.encode") == 1
+        assert not any(s["name"] == "serve.encode" for s in spans)
 
     def test_worker_deltas_fold_exactly_once_across_appends(
         self, economy
