@@ -81,6 +81,32 @@ class TxArrays:
         self.output_values = output_values
 
 
+class _BothFilters:
+    """Picklable AND of two address predicates."""
+
+    __slots__ = ("first", "second")
+
+    def __init__(
+        self, first: Callable[[str], bool], second: Callable[[str], bool]
+    ):
+        self.first = first
+        self.second = second
+
+    def __call__(self, address: str) -> bool:
+        return self.first(address) and self.second(address)
+
+
+def compose_filters(
+    parent: Optional[Callable[[str], bool]],
+    address_filter: Callable[[str], bool],
+) -> Callable[[str], bool]:
+    """The filter of a slice of an index filtered by ``parent``
+    (``None`` keeps every address): what both predicates accept."""
+    if parent is None:
+        return address_filter
+    return _BothFilters(parent, address_filter)
+
+
 class ChainIndex:
     """Incremental address→transactions index over an append-only chain.
 
@@ -213,15 +239,30 @@ class ChainIndex:
         :class:`~repro.serve.router.ShardRouter`), while sharing this
         index's immutable :class:`~repro.chain.transaction.Transaction`
         objects, so each kept address can still reach its *full*
-        history through :meth:`transactions_of`.  Records are replayed
-        in the original ingestion order, preserving the chronological
-        per-address record contract.  The copy is independent from this
-        index afterwards: feed it future blocks via :meth:`on_block`
-        (the cluster layer does) or rebuild it when it goes stale.
+        history through :meth:`transactions_of`.  The slice is cut from
+        this index's tables, never by replaying the chain: the
+        transaction tables are copied, the predicate runs once per
+        distinct recorded address, and each kept address gets its own
+        copy of its (frozen, shared) :class:`TxRecord` list — so
+        record order, :meth:`first_seen` and :meth:`known_addresses`
+        order are exactly what a replay would give.  The slice's filter
+        is this index's filter AND ``address_filter``, so a slice of a
+        slice holds what both accept.  The copy is independent from
+        this index afterwards — no record list is shared, and the
+        interning and column memos start empty: feed it future blocks
+        via :meth:`on_block` (the cluster layer does) or rebuild it
+        when it goes stale.
         """
-        shard = ChainIndex(address_filter=address_filter)
-        for txid, tx in self._tx_by_id.items():
-            shard._ingest(tx, self._tx_height[txid])
+        shard = ChainIndex(
+            compose_filters(self.address_filter, address_filter)
+        )
+        shard._tx_by_id = dict(self._tx_by_id)
+        shard._tx_height = dict(self._tx_height)
+        first_seen = self._first_seen
+        for address, records in self._records.items():
+            if address_filter(address):
+                shard._records[address] = list(records)
+                shard._first_seen[address] = first_seen[address]
         return shard
 
     def known_addresses(self) -> List[str]:

@@ -66,7 +66,12 @@ import numpy as np
 
 from repro import obs
 from repro.chain.block import Block
-from repro.chain.explorer import ChainIndex, TxArrays, TxRecord
+from repro.chain.explorer import (
+    ChainIndex,
+    TxArrays,
+    TxRecord,
+    compose_filters,
+)
 from repro.chain.serialize import transaction_from_columns
 from repro.chain.transaction import Transaction
 from repro.errors import ChainStoreError
@@ -861,8 +866,14 @@ class StoreBackedChainIndex(ChainIndex):
     ) -> "StoreBackedChainIndex":
         """A filtered view over the *same* mapped store: one shard's
         slice, holding only its own member adjacency (no copied
-        transactions, no copied maps)."""
-        return StoreBackedChainIndex(self._store, address_filter=address_filter)
+        transactions, no copied maps).  Its filter is this index's
+        filter AND ``address_filter``, as for the in-memory slice."""
+        return StoreBackedChainIndex(
+            self._store,
+            address_filter=compose_filters(
+                self.address_filter, address_filter
+            ),
+        )
 
     def known_addresses(self) -> List[str]:
         """Every address with at least one member record, ordered by

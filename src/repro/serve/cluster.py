@@ -10,7 +10,9 @@ forward per graph; the service instead:
   deterministically partitions the address space by address-prefix hash
   into N shards.  Each shard owns its own
   :class:`~repro.chain.explorer.ChainIndex` slice
-  (:meth:`~repro.chain.explorer.ChainIndex.sharded`), its own
+  (:meth:`~repro.chain.explorer.ChainIndex.sharded` — cut from the
+  parent index's tables with one predicate call per address, never by
+  replaying the chain, so start-up costs a table copy per shard), its own
   :class:`~repro.serve.cache.SliceGraphCache` of encoded slice graphs
   + embedding cache, its own
   :class:`~repro.graphs.pipeline.GraphConstructionPipeline`, and its
@@ -135,6 +137,9 @@ _SERVE_SECONDS = obs.histogram("serve_request_seconds")
 #: Requests refused for naming an address with no transactions on chain
 #: (by :meth:`ClusterScoringService.score` or the micro-batcher).
 _SERVE_UNKNOWN = obs.counter("serve_unknown_rejections_total")
+#: Warm-store bundles :meth:`ClusterScoringService.load_warm` skipped as
+#: unusable (corrupt or truncated): those shards start cold.
+_SERVE_WARM_REJECTED = obs.counter("serve_warm_bundles_rejected_total")
 #: Cluster-layer registry metrics (process-global; see ``repro.obs``).
 #: The legacy accessors — ``pool_stats()``, ``micro_batch_stats()``,
 #: per-shard ``CacheStats`` — stay the per-instance views; these
@@ -146,6 +151,10 @@ _POOL_STARTS = obs.counter("pool_starts_total")
 _POOL_WORKERS = obs.gauge("pool_workers")
 _POOL_INGESTS = obs.counter("pool_ingest_batches_total")
 _POOL_REMAPS = obs.counter("pool_remaps_total")
+#: Worker processes found dead by the pool's health check (once each).
+_POOL_DEATHS = obs.counter("pool_worker_deaths_total")
+#: Worker builds that came back as an error instead of graphs.
+_POOL_BUILD_FAILURES = obs.counter("pool_build_failures_total")
 _MB_REQUESTS = obs.counter("micro_batch_requests_total")
 _MB_BATCHES = obs.counter("micro_batches_total")
 _MB_BATCHED = obs.counter("micro_batched_requests_total")
@@ -757,6 +766,7 @@ class _WorkerPool:
             "_closed",
             "_ingest_batches",
             "_remaps",
+            "_dead",
         ),
     }
 
@@ -793,6 +803,7 @@ class _WorkerPool:
         self._closed = False
         self._ingest_batches = 0
         self._remaps = 0
+        self._dead: Set[int] = set()
         self._collector = threading.Thread(
             target=self._collect,
             name="repro-cluster-pool-collector",
@@ -905,6 +916,8 @@ class _WorkerPool:
             # future resolves, so a caller inspecting traces right
             # after ``score()`` returns sees the worker spans.
             obs.absorb(obs_payload)
+            if error is not None:
+                _POOL_BUILD_FAILURES.inc()
             with self._lock:
                 future = self._pending.pop(seq, None)
                 self._assigned.pop(seq, None)
@@ -926,6 +939,10 @@ class _WorkerPool:
         if not dead:
             return
         with self._lock:
+            if self._closed:
+                return  # workers exit on ``stop``: not a death
+            newly_dead = dead - self._dead
+            self._dead |= newly_dead
             lost = [
                 (seq, self._pending.pop(seq))
                 for seq, worker_id in list(self._assigned.items())
@@ -933,6 +950,8 @@ class _WorkerPool:
             ]
             for seq, _ in lost:
                 self._assigned.pop(seq, None)
+        if newly_dead:
+            _POOL_DEATHS.inc(len(newly_dead))
         for seq, future in lost:
             future.set_exception(
                 RuntimeError(
@@ -1814,6 +1833,7 @@ class ClusterScoringService:
                 try:
                     state = store.load_warm(name)
                 except ValidationError:
+                    _SERVE_WARM_REJECTED.inc()
                     continue  # unusable bundle: rebuild cold
                 if state is None:
                     continue

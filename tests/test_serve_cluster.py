@@ -31,6 +31,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import BAClassifier, BAClassifierConfig
 from repro.errors import NotFittedError, ValidationError
 from repro.serve import (
@@ -43,6 +44,7 @@ from repro.serve import (
     encoder_version,
 )
 from repro.serve.cluster import (
+    _COLLECT_POLL_SECONDS,
     _JOIN_TIMEOUT_SECONDS,
     _ShardMembership,
     _WorkerPool,
@@ -87,6 +89,11 @@ def _total_slices(index, addresses):
     return sum(
         -(-index.transaction_count(a) // SLICE_SIZE) for a in addresses
     )
+
+
+def _counter(name: str) -> int:
+    """Current value of a registry counter (0 before its first event)."""
+    return obs.snapshot()["counters"].get(name, 0)
 
 
 def _routing_child(payload, queue):
@@ -475,9 +482,14 @@ class TestWarmStore:
         victim = sorted(directory.glob("*.npz"))[0]
         victim.write_bytes(victim.read_bytes()[:64])  # truncate
 
+        rejected = _counter("serve_warm_bundles_rejected_total")
         fresh = _cluster(economy, num_shards=2)
         try:
             fresh.load_warm(tmp_path)  # must skip the bundle, not raise
+            assert (
+                _counter("serve_warm_bundles_rejected_total")
+                == rejected + 1
+            )
             scores = fresh.score(addresses)  # cold where skipped
             expected = classifier.predict_proba(addresses, index)
             np.testing.assert_allclose(
@@ -681,23 +693,31 @@ class TestClusterInvalidation:
             cluster.close()
 
 
+def _pool(index, classifier, num_workers=2):
+    router = ShardRouter(2)
+    pool = _WorkerPool(
+        num_workers,
+        [
+            index.sharded(_ShardMembership(router, shard_id))
+            for shard_id in range(2)
+        ],
+        classifier.config.pipeline_config(),
+        None,
+        multiprocessing.get_context("fork"),
+    )
+    return router, pool
+
+
 class TestWorkerPoolFaults:
     def test_dead_worker_fails_build_under_traffic(self, economy):
         """A killed worker's in-flight build fails within about a poll
         interval even while the other worker keeps results streaming
-        in — liveness checks must not wait for a quiet result queue."""
+        in — liveness checks must not wait for a quiet result queue.
+        The death is counted once, however many health checks see it,
+        and an orderly shutdown counts none."""
         _, index, addresses, classifier, _ = economy
-        router = ShardRouter(2)
-        pool = _WorkerPool(
-            2,
-            [
-                index.sharded(_ShardMembership(router, shard_id))
-                for shard_id in range(2)
-            ],
-            classifier.config.pipeline_config(),
-            None,
-            multiprocessing.get_context("fork"),
-        )
+        deaths = _counter("pool_worker_deaths_total")
+        router, pool = _pool(index, classifier)
         try:
             victim = pool._processes[0]
             os.kill(victim.pid, signal.SIGKILL)
@@ -712,9 +732,31 @@ class TestWorkerPoolFaults:
             assert time.monotonic() - start < 2.0
             with pytest.raises(RuntimeError, match="died"):
                 doomed.result(timeout=0)
+            time.sleep(3 * _COLLECT_POLL_SECONDS)  # more health checks
+            assert _counter("pool_worker_deaths_total") == deaths + 1
         finally:
             started = time.monotonic()
             pool.shutdown()
         assert time.monotonic() - started < _JOIN_TIMEOUT_SECONDS
         assert not pool._collector.is_alive()
         assert not any(p.is_alive() for p in pool._processes)
+        assert _counter("pool_worker_deaths_total") == deaths + 1
+
+    def test_failed_worker_build_is_counted(self, economy):
+        """A build the worker cannot run (an out-of-range slice index)
+        fails its future and counts one build failure; the worker lives
+        on and is not counted as dead."""
+        _, index, addresses, classifier, _ = economy
+        failures = _counter("pool_build_failures_total")
+        deaths = _counter("pool_worker_deaths_total")
+        router, pool = _pool(index, classifier, num_workers=1)
+        try:
+            member = next(a for a in addresses if router.shard_of(a) == 0)
+            with pytest.raises(RuntimeError, match="out of range"):
+                pool.submit(0, {member: [999]}).result(timeout=30)
+            assert _counter("pool_build_failures_total") == failures + 1
+            pool.submit(0, {member: [0]}).result(timeout=30)
+            assert _counter("pool_build_failures_total") == failures + 1
+        finally:
+            pool.shutdown()
+        assert _counter("pool_worker_deaths_total") == deaths
