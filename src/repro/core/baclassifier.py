@@ -28,7 +28,7 @@ from repro.core.config import BAClassifierConfig
 from repro.core.embedding import embedding_sequences
 from repro.errors import NotFittedError, ValidationError
 from repro.eval.curves import TrainingCurve
-from repro.gnn.data import EncodedGraph, encode_sequences
+from repro.gnn.data import EncodedGraph, build_encoded
 from repro.gnn.gfn import GFN
 from repro.gnn.training import fit_graph_classifier
 from repro.graphs.model import NODE_FEATURE_DIM
@@ -263,8 +263,14 @@ class BAClassifier:
         addresses: Sequence[str],
         label_map: Dict[str, int],
     ) -> Dict[str, List[EncodedGraph]]:
-        graphs_by_address = self.pipeline.build_many(index, addresses)
-        return encode_sequences(graphs_by_address, label_map)
+        return build_encoded(
+            self.pipeline,
+            index,
+            {address: None for address in addresses},
+            span="classifier.encode",
+            labels_by_address=label_map,
+            gfn_k=self.encoder.k,
+        )
 
     def _require_fitted(self) -> None:
         if not self._fitted:

@@ -9,8 +9,10 @@ from repro.gnn.base import GraphClassifier
 from repro.gnn.data import (
     EncodedGraph,
     GraphBatch,
+    build_encoded,
     encode_graph,
     encode_graphs,
+    encode_pack,
     encode_sequences,
 )
 from repro.gnn.diffpool import DiffPool
@@ -28,8 +30,10 @@ __all__ = [
     "GraphClassifier",
     "EncodedGraph",
     "GraphBatch",
+    "build_encoded",
     "encode_graph",
     "encode_graphs",
+    "encode_pack",
     "encode_sequences",
     "DiffPool",
     "GCN",

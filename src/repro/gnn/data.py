@@ -2,34 +2,54 @@
 
 An :class:`EncodedGraph` freezes an address graph into numeric form:
 final node features plus the renormalised adjacency Ã (Eq. 12).
-:func:`encode_graphs` encodes a whole batch of slice graphs in one
-block-diagonal sweep and is the only encoder; :func:`encode_graph` and
-:func:`encode_sequences` batch through it.  A
-:class:`GraphBatch` stacks several encoded graphs into one disconnected
-super-graph (block-diagonal Ã, concatenated features, and a segment-id
-vector mapping nodes back to graphs for readout).
+
+:func:`build_encoded` is the one production path from transactions to
+GNN input: the pipeline builds a request's slice graphs through Stages
+1–4 as one :class:`~repro.graphs.arrays.GraphPack`
+(:meth:`~repro.graphs.pipeline.GraphConstructionPipeline.build_pack`),
+and :func:`encode_pack` turns that pack into per-graph
+:class:`EncodedGraph` s in one sweep over the block-diagonal adjacency
+Stage 4 already built: node features from the pack's columns, Eq. 12
+once over the whole pack and, for GFN, Eq. 13's ``[d, X, ÃX, …, ÃᵏX]``
+propagated over the packed Ã, cut per graph into its ``gfn_k{k}``
+cache entry.  Serving (inline and in worker processes) and the
+classifier all call it.  :func:`encode_graphs`, :func:`encode_graph`
+and :func:`encode_sequences` pack already-built graphs and call
+:func:`encode_pack`.  A :class:`GraphBatch` stacks several encoded
+graphs into one disconnected super-graph (block-diagonal Ã,
+concatenated features, and a segment-id vector mapping nodes back to
+graphs for readout).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro import obs
 from repro.errors import ValidationError
 from repro.features.sfe import sfe_matrix_segments, signed_log1p
-from repro.graphs.arrays import ArrayGraph
-from repro.graphs.matrices import packed_adjacency
+from repro.graphs.arrays import ArrayGraph, GraphPack
+from repro.graphs.matrices import symmetric_adjacency
 from repro.graphs.model import _CENTRALITY_DIMS, NODE_KIND_ORDER, AddressGraph
+
+if TYPE_CHECKING:
+    from repro.chain.explorer import ChainIndex
+    from repro.graphs.pipeline import GraphConstructionPipeline
 
 __all__ = [
     "EncodedGraph",
     "GraphBatch",
+    "build_encoded",
     "encode_graph",
     "encode_graphs",
+    "encode_pack",
     "encode_sequences",
+    "gfn_cache_key",
 ]
 
 #: Both graph flavours encode identically: the pipeline natively yields
@@ -80,6 +100,163 @@ class EncodedGraph:
         )
 
 
+def gfn_cache_key(k: int) -> str:
+    """The :attr:`EncodedGraph.cache` key of GFN's Eq. 13 features of
+    depth ``k``."""
+    return f"gfn_k{k}"
+
+
+def build_encoded(
+    pipeline: "GraphConstructionPipeline",
+    index: "ChainIndex",
+    requests: "Dict[str, Optional[Sequence[int]]]",
+    *,
+    span: str,
+    labels_by_address: Optional[Dict[str, int]] = None,
+    gfn_k: Optional[int] = None,
+) -> Dict[str, List[EncodedGraph]]:
+    """Build and encode the requested slices of many addresses.
+
+    ``requests`` maps each address to the slice indices wanted (``None``
+    = every slice), as for
+    :meth:`~repro.graphs.pipeline.GraphConstructionPipeline.build_many_slices`.
+    Stages 1–4 run once over the whole request as one pack, and
+    :func:`encode_pack` (under a span named ``span``) encodes it with
+    the adjacency Stage 4 built.  ``gfn_k`` (the GFN encoder's depth,
+    ``None`` for other encoders) fills each graph's ``gfn_k{k}`` cache
+    in the same pass.  Returns ``{address: [EncodedGraph, ...]}`` in
+    request order, slices ascending; addresses missing from
+    ``labels_by_address`` (or all, when it is omitted) are labelled
+    ``-1``.
+    """
+    pack, adjacency = pipeline.build_pack(index, requests)
+    built: Dict[str, List[EncodedGraph]] = {
+        address: [] for address in requests
+    }
+    if pack is None:
+        return built
+    labels_by_address = labels_by_address or {}
+    labels = [
+        labels_by_address.get(address, -1)
+        for address in pack.center_addresses
+    ]
+    with obs.span(span):
+        encoded = encode_pack(pack, adjacency, labels, gfn_k)
+    for row in encoded:
+        built[row.address].append(row)
+    return built
+
+
+def encode_pack(
+    pack: GraphPack,
+    adjacency: Optional[sp.csr_matrix] = None,
+    labels: Optional[Sequence[int]] = None,
+    gfn_k: Optional[int] = None,
+) -> List[EncodedGraph]:
+    """Freeze every graph of a pack, in pack order, in one sweep.
+
+    ``adjacency`` is the pack's symmetric block-diagonal adjacency as
+    Stage 4 returns it (:func:`repro.graphs.augmentation.augment_pack`);
+    it is built from the pack's edge columns when omitted.  One
+    ``A + I`` over the pack, degrees from one segmented row reduction,
+    and Eq. 12's ``D̃^{-1/2}(A+I)D̃^{-1/2}`` as
+    ``(inv_sqrt[row] * a) * inv_sqrt[col]`` — the operation order of
+    the per-graph oracle's ``(scale @ (A+I)) @ scale``.  Node features
+    come from one SFE pass over the pack's value bags plus its
+    centrality, kind and centre columns (zero centrality when the pack
+    has none).  With ``gfn_k`` set, Eq. 13's ``[d, X, ÃX, …, ÃᵏX]`` is
+    propagated over the packed Ã as well.  Each graph then receives its
+    own copies of its feature rows, CSR triple and ``gfn_k{k}`` rows,
+    so the result is bit-identical to encoding graph by graph
+    (:meth:`~repro.graphs.arrays.ArrayGraph.feature_matrix`,
+    :func:`~repro.graphs.matrices.normalized_adjacency` and
+    :func:`repro.gnn.gfn.augment_features`).
+
+    ``labels`` defaults to ``-1`` (unlabelled) for every graph.
+    """
+    if labels is None:
+        labels = [-1] * len(pack)
+    elif len(labels) != len(pack):
+        raise ValidationError(
+            f"got {len(labels)} labels for {len(pack)} graphs"
+        )
+    total = pack.num_nodes
+    if adjacency is None:
+        adjacency = symmetric_adjacency(pack.edge_src, pack.edge_dst, total)
+    features = _pack_features(pack)
+    with_loops = adjacency + sp.identity(total, format="csr")
+    indptr, indices, values = (
+        with_loops.indptr, with_loops.indices, with_loops.data
+    )
+    # Every row holds at least its self-loop, so no segment is empty
+    # and no degree is zero.
+    inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(values, indptr[:-1]))
+    rows = np.repeat(np.arange(total), np.diff(indptr))
+    data = (inv_sqrt[rows] * values) * inv_sqrt[indices]
+    propagated = None
+    if gfn_k is not None:
+        propagated = _propagate(
+            sp.csr_matrix((data, indices, indptr), shape=(total, total)),
+            features,
+            gfn_k,
+        )
+
+    encoded: List[EncodedGraph] = []
+    offsets = pack.node_offsets.tolist()
+    for g, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        start, stop = int(indptr[lo]), int(indptr[hi])
+        row = EncodedGraph(
+            features=features[lo:hi].copy(),
+            adjacency=sp.csr_matrix(
+                (
+                    data[start:stop].copy(),
+                    indices[start:stop] - lo,
+                    indptr[lo : hi + 1] - start,
+                ),
+                shape=(hi - lo, hi - lo),
+            ),
+            label=int(labels[g]),
+            address=pack.center_addresses[g],
+            slice_index=pack.slice_indices[g],
+        )
+        if propagated is not None:
+            row.cache[gfn_cache_key(gfn_k)] = propagated[lo:hi].copy()
+        encoded.append(row)
+    return encoded
+
+
+def _propagate(
+    normalized: sp.csr_matrix, features: np.ndarray, k: int
+) -> np.ndarray:
+    """Eq. 13's ``[d, X, ÃX, …, ÃᵏX]`` over a packed Ã, with
+    :func:`repro.gnn.gfn.augment_features`'s operations per row: ``d``
+    is Ã's row sum (one segmented reduction, as scipy's ``sum(axis=1)``
+    takes it) and each power one sparse-dense product."""
+    degrees = np.add.reduceat(normalized.data, normalized.indptr[:-1])
+    blocks = [degrees.reshape(-1, 1), features]
+    current = features
+    for _ in range(k):
+        current = np.asarray(normalized @ current)
+        blocks.append(current)
+    return np.concatenate(blocks, axis=1)
+
+
+def _pack_features(pack: GraphPack) -> np.ndarray:
+    """Every graph's :meth:`~repro.graphs.arrays.ArrayGraph.feature_matrix`
+    stacked in pack order, from one SFE pass over all value bags."""
+    total = pack.num_nodes
+    stats = signed_log1p(sfe_matrix_segments(pack.bag_values, pack.bag_indptr))
+    if pack.centrality is not None:
+        centrality = pack.centrality
+    else:
+        centrality = np.zeros((total, _CENTRALITY_DIMS), dtype=np.float64)
+    kind_onehot = np.zeros((total, len(NODE_KIND_ORDER)), dtype=np.float64)
+    kind_onehot[np.arange(total), pack.kind_codes] = 1.0
+    center_flag = np.zeros((total, 1), dtype=np.float64)
+    center_flag[pack.centers[pack.centers >= 0], 0] = 1.0
+    return np.hstack([stats, centrality, kind_onehot, center_flag])
+
+
 def encode_graph(graph: AnyGraph, label: int = -1) -> EncodedGraph:
     """Freeze one slice graph (either flavour) for training/inference:
     ``encode_graphs([graph], [label])[0]``."""
@@ -89,22 +266,13 @@ def encode_graph(graph: AnyGraph, label: int = -1) -> EncodedGraph:
 def encode_graphs(
     graphs: Sequence[AnyGraph], labels: Optional[Sequence[int]] = None
 ) -> List[EncodedGraph]:
-    """Freeze a batch of slice graphs (either flavour, in any mix).
+    """Freeze a batch of already-built slice graphs (either flavour, in
+    any mix): packs them and calls :func:`encode_pack`.
 
-    The one encoder behind training, offline prediction and serving.
-    The batch is packed once (:func:`repro.graphs.matrices.packed_adjacency`):
-    one ``A + I`` over the block-diagonal pack, degrees from one
-    segmented row reduction, and Eq. 12's ``D̃^{-1/2}(A+I)D̃^{-1/2}``
-    as ``(inv_sqrt[row] * a) * inv_sqrt[col]`` — the operation order of
-    the per-graph oracle's ``(scale @ (A+I)) @ scale``.  Node features
-    come from one SFE pass over the concatenated value bags.  Each graph
-    then receives its own copies of its feature rows and CSR triple, so
-    the result is bit-identical to encoding graph by graph
-    (:meth:`~repro.graphs.arrays.ArrayGraph.feature_matrix` plus
-    :func:`~repro.graphs.matrices.normalized_adjacency`).
-
-    ``labels`` defaults to ``-1`` (unlabelled) for every graph.  An
-    empty graph anywhere in the batch raises
+    Graphs without centrality encode with zero centrality columns, as
+    :meth:`~repro.graphs.arrays.ArrayGraph.feature_matrix` does, even
+    next to augmented graphs.  ``labels`` defaults to ``-1`` for every
+    graph.  An empty graph anywhere in the batch raises
     :class:`~repro.errors.ValidationError` naming its address.
     """
     for graph in graphs:
@@ -112,9 +280,7 @@ def encode_graphs(
             raise ValidationError(
                 f"cannot encode empty graph for {graph.center_address[:12]}"
             )
-    if labels is None:
-        labels = [-1] * len(graphs)
-    elif len(labels) != len(graphs):
+    if labels is not None and len(labels) != len(graphs):
         raise ValidationError(
             f"got {len(labels)} labels for {len(graphs)} graphs"
         )
@@ -125,74 +291,21 @@ def encode_graphs(
         else ArrayGraph.from_address_graph(graph)
         for graph in graphs
     ]
-    packed, offsets = packed_adjacency(arrays)
-    features = _stacked_features(arrays, offsets)
-    total = int(offsets[-1])
-    with_loops = packed + sp.identity(total, format="csr")
-    indptr, indices, values = (
-        with_loops.indptr, with_loops.indices, with_loops.data
-    )
-    # Every row holds at least its self-loop, so no segment is empty
-    # and no degree is zero.
-    inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(values, indptr[:-1]))
-    rows = np.repeat(np.arange(total), np.diff(indptr))
-    data = (inv_sqrt[rows] * values) * inv_sqrt[indices]
-
-    encoded: List[EncodedGraph] = []
-    bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
-    for graph, label, (lo, hi) in zip(arrays, labels, bounds):
-        start, stop = int(indptr[lo]), int(indptr[hi])
-        adjacency = sp.csr_matrix(
-            (
-                data[start:stop].copy(),
-                indices[start:stop] - lo,
-                indptr[lo : hi + 1] - start,
-            ),
-            shape=(hi - lo, hi - lo),
-        )
-        encoded.append(
-            EncodedGraph(
-                features=features[lo:hi].copy(),
-                adjacency=adjacency,
-                label=int(label),
-                address=graph.center_address,
-                slice_index=graph.slice_index,
-            )
-        )
-    return encoded
+    if any(graph.centrality is not None for graph in arrays):
+        arrays = [_with_centrality(graph) for graph in arrays]
+    return encode_pack(GraphPack.of(arrays), labels=labels)
 
 
-def _stacked_features(
-    graphs: Sequence[ArrayGraph], offsets: np.ndarray
-) -> np.ndarray:
-    """Every graph's :meth:`~repro.graphs.arrays.ArrayGraph.feature_matrix`
-    stacked in pack order, from one SFE pass over all value bags."""
-    total = int(offsets[-1])
-    bag_indptr = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(
-        np.concatenate([np.diff(graph.bag_indptr) for graph in graphs]),
-        out=bag_indptr[1:],
+def _with_centrality(graph: ArrayGraph) -> ArrayGraph:
+    """``graph``, or a shallow copy with zero centrality if it has none
+    (a pack cannot mix graphs with and without centrality)."""
+    if graph.centrality is not None:
+        return graph
+    graph = copy.copy(graph)
+    graph.centrality = np.zeros(
+        (graph.num_nodes, _CENTRALITY_DIMS), dtype=np.float64
     )
-    stats = signed_log1p(
-        sfe_matrix_segments(
-            np.concatenate([graph.bag_values for graph in graphs]),
-            bag_indptr,
-        )
-    )
-    centrality = np.zeros((total, _CENTRALITY_DIMS), dtype=np.float64)
-    center_flag = np.zeros((total, 1), dtype=np.float64)
-    for graph, lo in zip(graphs, offsets[:-1]):
-        if graph.centrality is not None:
-            centrality[lo : lo + graph.num_nodes] = graph.centrality
-        center = graph.center_node_id()
-        if center is not None:
-            center_flag[lo + center, 0] = 1.0
-    kind_onehot = np.zeros((total, len(NODE_KIND_ORDER)), dtype=np.float64)
-    kind_onehot[
-        np.arange(total),
-        np.concatenate([graph.kind_codes for graph in graphs]),
-    ] = 1.0
-    return np.hstack([stats, centrality, kind_onehot, center_flag])
+    return graph
 
 
 def encode_sequences(

@@ -8,6 +8,12 @@ GFN (Chen, Bian & Sun, 2019) replaces stacked graph convolutions with a
   renormalised adjacency applied to the raw node features.  This is
   computed once per graph (no gradients flow through Ã), which is the
   source of GFN's training-speed advantage in the paper's Figure 5.
+  Production computes it while encoding, for a whole build at once:
+  :func:`repro.gnn.data.encode_pack` propagates over the packed Ã and
+  stores each graph's rows in its ``gfn_k{k}`` cache entry.
+  :func:`augment_features` is the per-graph definition; it returns
+  that entry, and computes and stores it for graphs encoded without
+  one.
 - **Node representation learning** (Eq. 14): an MLP on the augmented
   features.
 - **Graph readout** (Eq. 15): SUM pooling, then a linear classifier.
@@ -24,7 +30,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.gnn.base import GraphClassifier
-from repro.gnn.data import EncodedGraph
+from repro.gnn.data import EncodedGraph, gfn_cache_key
 from repro.gnn.readout import sum_readout
 from repro.nn import functional as F
 from repro.nn.layers import Linear
@@ -36,7 +42,7 @@ __all__ = ["GFN", "augment_features"]
 
 def augment_features(graph: EncodedGraph, k: int) -> np.ndarray:
     """Eq. 13: ``[d, X, ÃX, …, ÃᵏX]`` for one encoded graph (cached)."""
-    cache_key = f"gfn_k{k}"
+    cache_key = gfn_cache_key(k)
     cached = graph.cache.get(cache_key)
     if cached is not None:
         return cached

@@ -4,12 +4,13 @@ Implements the paper's first component (§III-A): transactions of an
 address become chronological slice graphs; node compression (Eq. 1–7)
 bounds their size; centrality augmentation (Eq. 8–11) enriches node
 features; :class:`GraphConstructionPipeline` chains the stages with the
-per-stage timing of Table V.  Stage 4 runs batched by default: all
-slice graphs of a pipeline call share one block-diagonal centrality
-sweep (:func:`augment_graphs` /
-:mod:`repro.graphs.batched_centrality`), output-identical to the
-per-graph kernels but with their scipy/Python overhead amortised
-across the batch.
+per-stage timing of Table V.  Every stage runs once per build over a
+:class:`GraphPack` of all slice graphs of the call; Stage 4
+(:func:`augment_pack`) builds the pack's block-diagonal adjacency once
+and runs the centrality kernels of
+:mod:`repro.graphs.batched_centrality` over diagonal-block slices of
+it, output-identical to the per-graph kernels (:func:`augment_graph`)
+but with their scipy/Python overhead amortised across the build.
 
 Two graph representations coexist:
 
@@ -33,7 +34,11 @@ Two graph representations coexist:
 """
 
 from repro.graphs.arrays import ArrayGraph, GraphPack, KIND_CODES
-from repro.graphs.augmentation import augment_graph, augment_graphs
+from repro.graphs.augmentation import (
+    augment_graph,
+    augment_graphs,
+    augment_pack,
+)
 from repro.graphs.batched_centrality import (
     batched_centrality_matrices,
     plan_packs,
@@ -73,6 +78,7 @@ from repro.graphs.flatten import (
 from repro.graphs.matrices import (
     normalized_adjacency,
     normalized_adjacency_from_matrix,
+    symmetric_adjacency,
 )
 from repro.graphs.model import (
     NODE_FEATURE_DIM,
@@ -94,6 +100,7 @@ __all__ = [
     "KIND_CODES",
     "augment_graph",
     "augment_graphs",
+    "augment_pack",
     "batched_centrality_matrices",
     "centrality_matrix_block_diagonal",
     "pack_block_diagonal",
@@ -122,6 +129,7 @@ __all__ = [
     "flatten_graphs",
     "normalized_adjacency",
     "normalized_adjacency_from_matrix",
+    "symmetric_adjacency",
     "NODE_FEATURE_DIM",
     "NODE_KIND_ORDER",
     "AddressGraph",

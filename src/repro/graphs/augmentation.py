@@ -5,19 +5,25 @@ PageRank) to every node of a compressed address graph, so node features
 carry "not only the semantic information of address transactions but also
 the augmented graph structural characteristics".
 
-Two entry points cover the two serving regimes:
+:func:`augment_pack` is the pipeline's Stage 4.  It takes a build's
+compressed :class:`~repro.graphs.arrays.GraphPack` whole: one symmetric
+block-diagonal CSR from the pack's global edge columns
+(:func:`~repro.graphs.matrices.symmetric_adjacency`), then one
+block-diagonal centrality sweep
+(:func:`~repro.graphs.batched_centrality.centrality_matrix_block_diagonal`)
+per contiguous run of graphs of at most ``DEFAULT_MAX_BATCH_NODES``
+(1024) nodes, each run a diagonal-block slice of that matrix passed as
+its own transpose.  The stacked ``(num_nodes, 4)`` result becomes the
+pack's ``centrality`` column, and the adjacency is handed on to the
+encoder (:func:`repro.gnn.data.encode_pack`), which renormalises the
+same matrix instead of building it again.
 
-- :func:`augment_graph` runs the centralities on one graph's CSR
-  adjacency (:func:`repro.graphs.centrality.centrality_matrix_csr`).
-- :func:`augment_graphs` — the pipeline's default Stage-4 path — packs a
-  whole batch of slice graphs into block-diagonal CSR chunks of at most
-  ``DEFAULT_MAX_BATCH_NODES`` (1024) nodes and runs each kernel once
-  per chunk (:mod:`repro.graphs.batched_centrality`), amortising
-  per-graph scipy/Python overhead across the batch.  Results are
-  identical: a batch of one is bit-for-bit the per-graph path, mixed
-  batches are pinned to 1e-9 parity.
+:func:`augment_graphs` packs a list of graphs (either flavour) and runs
+the same sweep; :func:`augment_graph` runs the per-graph kernels
+(:func:`repro.graphs.centrality.centrality_matrix_csr`) and is the
+oracle the packed pass is held to bit for bit.
 
-Both paths solve PageRank (Eq. 11) exactly rather than iterating it:
+PageRank (Eq. 11) is solved exactly rather than iterated:
 :func:`~repro.graphs.centrality.pagerank_exact` solves every graph of
 up to ``PAGERANK_DENSE_MAX_NODES`` (256) nodes as a dense linear
 system, one stacked solve per node count, and iterates only larger
@@ -34,18 +40,19 @@ from __future__ import annotations
 from typing import List, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
-from repro.graphs.arrays import ArrayGraph
+from repro.graphs.arrays import ArrayGraph, GraphPack
 from repro.graphs.batched_centrality import (
     DEFAULT_MAX_BATCH_NODES,
     centrality_matrix_block_diagonal,
     plan_packs,
 )
-from repro.graphs.centrality import centrality_matrix_csr
-from repro.graphs.matrices import packed_adjacency
-from repro.graphs.model import AddressGraph
+from repro.graphs.centrality import _diagonal_block, centrality_matrix_csr
+from repro.graphs.matrices import symmetric_adjacency
+from repro.graphs.model import _CENTRALITY_DIMS, AddressGraph
 
-__all__ = ["augment_graph", "augment_graphs"]
+__all__ = ["augment_graph", "augment_graphs", "augment_pack"]
 
 AnyGraph = Union[AddressGraph, ArrayGraph]
 
@@ -66,41 +73,80 @@ def augment_graph(graph: AnyGraph) -> AnyGraph:
     return graph
 
 
+def augment_pack(
+    pack: GraphPack, max_batch_nodes: "int | None" = DEFAULT_MAX_BATCH_NODES
+) -> sp.csr_matrix:
+    """Stage 4 over a whole build's pack, in place; returns its adjacency.
+
+    Sets ``pack.centrality`` to the stacked ``(num_nodes, 4)`` rows and
+    returns the pack's symmetric block-diagonal adjacency for the
+    encoder to reuse.  ``max_batch_nodes`` bounds the ``64 × N``
+    dense scratch of one sweep (``None`` sweeps the pack at once); it
+    never changes results.
+    """
+    adjacency = symmetric_adjacency(
+        pack.edge_src, pack.edge_dst, pack.num_nodes
+    )
+    pack.centrality = _pack_centrality(
+        adjacency, pack.node_offsets, max_batch_nodes
+    )
+    return adjacency
+
+
 def augment_graphs(
     graphs: Sequence[AnyGraph],
     max_batch_nodes: "int | None" = DEFAULT_MAX_BATCH_NODES,
 ) -> List[AnyGraph]:
-    """Stage 4 over a whole batch in block-diagonal sweeps (in place).
+    """Stage 4 over a list of graphs (either flavour, in any mix), in place.
 
-    The batched sibling of :func:`augment_graph` and the pipeline's
-    default Stage-4 path (``GraphPipelineConfig.batch_stage4``): edge
-    columns of up to ``max_batch_nodes`` nodes' worth of graphs are
-    concatenated with per-graph node offsets into one block-diagonal
-    CSR, the closeness/Brandes sweeps and the PageRank solve run once
-    per chunk, and each graph receives its own ``(n_g, 4)`` slice of
-    the stacked result (a fresh array, not a view into the pack).
-    Accepts both graph flavours, in any mix; empty graphs are left
-    unchanged exactly like :func:`augment_graph`.  Returns the input
-    graphs as a list, in order, mutated in place.
-
-    ``max_batch_nodes`` bounds the ``64 × N_batch`` dense scratch of
-    the batched BFS (``None`` packs everything into one chunk); it is a
-    performance knob only — chunking never changes results.
+    Packs the non-empty graphs' edge columns into one block-diagonal
+    adjacency and runs :func:`augment_pack`'s sweep over it; each graph
+    receives its own ``(n_g, 4)`` slice of the stacked result (a fresh
+    array, not a view into the pack).  Empty graphs are left unchanged
+    exactly like :func:`augment_graph`.  Returns the input graphs as a
+    list, in order.
     """
     graphs = list(graphs)
     candidates = [graph for graph in graphs if graph.num_nodes > 0]
     if not candidates:
         return graphs
-    sizes = [graph.num_nodes for graph in candidates]
-    # Skew-aware packing: similar-sized graphs share packs so one giant
-    # graph no longer serializes a chunk of small ones (see plan_packs).
-    for pack in plan_packs(sizes, max_batch_nodes):
-        chunk = [candidates[i] for i in pack]
-        packed, offsets = packed_adjacency(chunk)
-        stacked = centrality_matrix_block_diagonal(packed, offsets)
-        for graph, lo, hi in zip(chunk, offsets[:-1], offsets[1:]):
-            _attach(graph, stacked[int(lo) : int(hi)].copy())
+    offsets = np.zeros(len(candidates) + 1, dtype=np.int64)
+    np.cumsum([graph.num_nodes for graph in candidates], out=offsets[1:])
+    shift = np.repeat(
+        offsets[:-1], [graph.num_edges for graph in candidates]
+    )
+    columns = [graph.edge_arrays() for graph in candidates]
+    adjacency = symmetric_adjacency(
+        np.concatenate([src for src, _ in columns]) + shift,
+        np.concatenate([dst for _, dst in columns]) + shift,
+        int(offsets[-1]),
+    )
+    stacked = _pack_centrality(adjacency, offsets, max_batch_nodes)
+    bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
+    for graph, (lo, hi) in zip(candidates, bounds):
+        _attach(graph, stacked[lo:hi].copy())
     return graphs
+
+
+def _pack_centrality(
+    adjacency: sp.csr_matrix,
+    offsets: np.ndarray,
+    max_batch_nodes: "int | None",
+) -> np.ndarray:
+    """Centralities of a symmetric block-diagonal adjacency, one sweep
+    per contiguous run of graphs under the node budget."""
+    bounds = offsets.tolist()
+    out = np.empty((bounds[-1], _CENTRALITY_DIMS), dtype=np.float64)
+    for run in plan_packs(
+        np.diff(offsets), max_batch_nodes, size_sort=False
+    ):
+        first, last = int(run[0]), int(run[-1]) + 1
+        lo, hi = bounds[first], bounds[last]
+        block = _diagonal_block(adjacency, lo, hi)
+        out[lo:hi] = centrality_matrix_block_diagonal(
+            block, offsets[first : last + 1] - lo, transpose=block
+        )
+    return out
 
 
 def _attach(graph: AnyGraph, matrix: np.ndarray) -> None:

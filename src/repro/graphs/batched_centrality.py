@@ -43,14 +43,16 @@ and the pure-Python :mod:`repro.graphs.reference` oracles in
 ``tests/test_batched_centrality.py``.
 
 Scratch memory is ``O(64 × N_batch)`` per sweep, so callers bound the
-pack size: :func:`batched_centrality_matrices` (and Stage 4's
-``augment_graphs``) splits oversized batches into chunks of at most
-``max_batch_nodes`` nodes.
+pack size: :func:`batched_centrality_matrices` splits oversized batches
+into chunks of at most ``max_batch_nodes`` nodes, and Stage 4
+(:func:`repro.graphs.augmentation.augment_pack`) runs one sweep per
+contiguous run of graphs of its build's pack under the same budget.
 
-Packing is **skew-aware**: seed rows are per-source-index, so the
-number of frontier row blocks a pack pays for is ``ceil(max_g n_g /
-64)`` — one graph much larger than its packmates serializes the whole
-chunk through its own tail rows while every smaller graph sits idle.
+:func:`batched_centrality_matrices` packs **skew-aware**: seed rows
+are per-source-index, so the number of frontier row blocks a pack pays
+for is ``ceil(max_g n_g / 64)`` — one graph much larger than its
+packmates serializes the whole chunk through its own tail rows while
+every smaller graph sits idle.
 :func:`plan_packs` therefore size-sorts graphs (descending, stable)
 before the greedy node-budget chunking, so similar-sized graphs share
 packs and each chunk's ``max_g n_g`` hugs its average.  Sorting changes
@@ -180,13 +182,14 @@ def plan_packs(
 
     Returns a list of ``int64`` index arrays into the caller's graph
     sequence — each array is one pack.  With ``size_sort=True`` (the
-    default, and what Stage 4 uses) graphs are ordered by descending
-    node count (stable for ties) before the greedy budget chunking, so
-    one giant graph packs with its peers instead of serializing a
-    chunk of small graphs through its tail frontier rows.
-    ``size_sort=False`` preserves input-order packing (the pre-skew
-    behaviour, kept for the invariance tests).  Purely a performance
-    plan: every pack layout yields identical per-graph results.
+    default) graphs are ordered by descending node count (stable for
+    ties) before the greedy budget chunking, so one giant graph packs
+    with its peers instead of serializing a chunk of small graphs
+    through its tail frontier rows.  ``size_sort=False`` keeps input
+    order, so every pack is a contiguous run of graphs: Stage 4 uses it
+    to cut its sweeps as diagonal-block slices of one build-wide
+    adjacency.  Purely a performance plan: every pack layout yields
+    identical per-graph results.
     """
     sizes_array = np.asarray(list(sizes), dtype=np.int64)
     if sizes_array.size == 0:
@@ -202,7 +205,9 @@ def plan_packs(
 
 
 def centrality_matrix_block_diagonal(
-    matrix: sp.csr_matrix, offsets: np.ndarray
+    matrix: sp.csr_matrix,
+    offsets: np.ndarray,
+    transpose: Optional[sp.csr_matrix] = None,
 ) -> np.ndarray:
     """All four centralities of a block-diagonal adjacency, per-graph.
 
@@ -217,7 +222,10 @@ def centrality_matrix_block_diagonal(
     This single function *is* the batched Stage-4 sweep; callers that
     want the per-graph matrices scattered back should use
     :func:`batched_centrality_matrices` (which also bounds scratch
-    memory by chunking).
+    memory by chunking).  ``transpose`` is ``matrixᵀ`` in canonical
+    CSR; it defaults to ``matrix.transpose().tocsr()``.  Stage 4 passes
+    its symmetric pack as its own transpose, which equals that
+    conversion array for array.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     n_total = matrix.shape[0]
@@ -235,7 +243,8 @@ def centrality_matrix_block_diagonal(
     num_graphs = sizes.size
     graph_of_node = np.repeat(np.arange(num_graphs), sizes)
     out_degree = np.diff(matrix.indptr).astype(np.float64)
-    transpose = matrix.transpose().tocsr()
+    if transpose is None:
+        transpose = matrix.transpose().tocsr()
 
     # Degree (Eq. 8): per-graph n − 1 normalisation, zero for n <= 1.
     degree = np.zeros(n_total, dtype=np.float64)

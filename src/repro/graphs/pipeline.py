@@ -12,12 +12,15 @@ them from the transaction slices into one
 :class:`~repro.graphs.arrays.GraphPack` (one global node space with
 per-graph offsets), Stages 2–3 compress the pack in one pass each
 (array union-find + ``bincount`` aggregation, no per-graph loop), and
-the pack is cut into per-graph :class:`~repro.graphs.arrays.ArrayGraph`
-views only where Stage 4 takes them.  Stage 4 attaches the centrality
-matrix as one column, by default computed in block-diagonal batched
-sweeps (:func:`~repro.graphs.augmentation.augment_graphs`; see
-``GraphPipelineConfig.batch_stage4``).  Every graph is bit-identical to
-a build of its slice alone.  Callers that want the object model convert
+Stage 4 (:func:`~repro.graphs.augmentation.augment_pack`) builds the
+pack's symmetric block-diagonal adjacency once and attaches the
+stacked centralities as the pack's ``centrality`` column.
+:meth:`GraphConstructionPipeline.build_pack` returns the pack and that
+adjacency, which the encoder (:func:`repro.gnn.data.build_encoded`)
+reuses for Eq. 12–13; :meth:`~GraphConstructionPipeline.build_many_slices`
+cuts the pack into per-graph :class:`~repro.graphs.arrays.ArrayGraph`
+views for callers that want graphs.  Every graph is bit-identical to a
+build of its slice alone.  Callers that want the object model convert
 with :meth:`~repro.graphs.model.AddressGraph.from_arrays`.
 """
 
@@ -30,10 +33,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import scipy.sparse as sp
+
 from repro import obs
 from repro.chain.explorer import ChainIndex
 from repro.errors import GraphConstructionError, ValidationError
-from repro.graphs.augmentation import augment_graph, augment_graphs
+from repro.graphs.augmentation import augment_pack
 from repro.graphs.compression import (
     compress_multi_transaction_pack,
     compress_single_transaction_pack,
@@ -51,7 +56,6 @@ __all__ = [
     "GraphConstructionPipeline",
     "STAGE_NAMES",
     "stage_report_from_timer",
-    "worker_build_slices",
 ]
 
 STAGE_NAMES = (
@@ -87,23 +91,15 @@ _STAGE_SPANS = {
 def _observe_stage(name: str, seconds: float, count: int) -> None:
     """StageTimer observer feeding per-stage histograms.
 
-    One observation per accumulation event: one packed Stage-1/2/3
-    pass or one batched Stage-4 sweep over a build's graphs (or one
-    per-graph Stage-4 entry with ``batch_stage4`` off), matching how
-    operators read stage latency distributions; the legacy per-graph
-    *means* still come from the timer itself via
-    :func:`stage_report_from_timer`, since each pass is recorded with
-    ``count`` = the graphs it covered.
+    One observation per accumulation event: one packed pass of a stage
+    over a build's graphs, matching how operators read stage latency
+    distributions; the legacy per-graph *means* still come from the
+    timer itself via :func:`stage_report_from_timer`, since each pass
+    is recorded with ``count`` = the graphs it covered.
     """
     metric = _STAGE_HISTOGRAMS.get(name)
     if metric is not None:
         metric.observe(seconds)
-
-
-#: Config fields that tune *how fast* Stage 4 runs, not *what* it
-#: builds — excluded from :meth:`GraphPipelineConfig.fingerprint` so
-#: cache entries stay shareable across batching settings.
-_PERF_ONLY_FIELDS = ("batch_stage4",)
 
 
 @dataclass(frozen=True)
@@ -112,16 +108,8 @@ class GraphPipelineConfig:
 
     ``slice_size`` is the paper's 100-transaction slicing unit; ``psi``
     (Ψ) and ``sigma`` (σ) are the multi-transaction compression
-    thresholds.  The two ``enable_*`` switches exist for the compression
-    ablation benchmark.
-
-    ``batch_stage4`` selects the default cross-graph Stage-4 path: all
-    slice graphs of a pipeline call share one block-diagonal centrality
-    sweep (:func:`~repro.graphs.augmentation.augment_graphs`) instead
-    of running the kernels per graph — output-identical, but with the
-    per-graph scipy/Python overhead amortised across the batch.  It is
-    a performance knob only and therefore excluded from
-    :meth:`fingerprint`.
+    thresholds.  The ``enable_*`` switches exist for the compression
+    and augmentation ablation benchmarks.
     """
 
     slice_size: int = 100
@@ -130,7 +118,6 @@ class GraphPipelineConfig:
     enable_single_compression: bool = True
     enable_multi_compression: bool = True
     enable_augmentation: bool = True
-    batch_stage4: bool = True
 
     def __post_init__(self) -> None:
         if self.slice_size <= 0:
@@ -145,15 +132,13 @@ class GraphPipelineConfig:
 
         Two configs with equal fingerprints build identical graphs from
         identical transaction histories, so the digest is safe to use as
-        a cache-key component (see :mod:`repro.serve`).  Performance-only
-        knobs (Stage-4 batching) are excluded: they change wall-clock,
-        never output, so flipping them must not invalidate warm caches.
+        a cache-key component (see :mod:`repro.serve`).  Every field is
+        an output-affecting construction parameter.
         """
-        payload = dataclasses.asdict(self)
-        for field in _PERF_ONLY_FIELDS:
-            payload.pop(field)
         return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
+            json.dumps(dataclasses.asdict(self), sort_keys=True).encode(
+                "utf-8"
+            )
         ).hexdigest()[:16]
 
 
@@ -190,12 +175,12 @@ class GraphConstructionPipeline:
         self,
         index: ChainIndex,
         requests: "Dict[str, Optional[Sequence[int]]]",
-    ) -> Tuple[Optional[GraphPack], Dict[str, int]]:
+    ) -> Optional[GraphPack]:
         """Stage 1 for every requested slice, as one pack.
 
-        Returns the pack (``None`` when nothing was requested) and how
-        many of its graphs belong to each address, in request order.
-        Two column sources feed the extraction: the default path slices
+        Returns the pack (``None`` when nothing was requested); its
+        graphs follow request order, slices ascending.  Two column
+        sources feed the extraction: the default path slices
         Python ``Transaction`` objects and builds every slice of the
         call in one :func:`build_original_pack` pass; a store-backed
         index (one exposing ``transaction_columns_of``) is sliced
@@ -211,7 +196,6 @@ class GraphConstructionPipeline:
         centers: List[str] = []
         chunks: list = []
         wanted_indices: List[int] = []
-        counts: Dict[str, int] = {}
         prep_seconds = 0.0
         for address, slice_indices in requests.items():
             start = time.perf_counter()
@@ -244,13 +228,12 @@ class GraphConstructionPipeline:
             prep_seconds += (
                 (time.perf_counter() - start) * len(wanted) / len(slices)
             )
-            counts[address] = len(wanted)
             centers.extend([address] * len(wanted))
             chunks.extend(slices[i] for i in wanted)
             wanted_indices.extend(wanted)
         start = time.perf_counter()
         if not chunks:
-            return None, counts
+            return None
         if columns_of is not None:
             pack = GraphPack.of(
                 [
@@ -270,7 +253,7 @@ class GraphConstructionPipeline:
             prep_seconds + time.perf_counter() - start,
             count=len(pack),
         )
-        return pack, counts
+        return pack
 
     def _compress(self, pack: GraphPack) -> GraphPack:
         """Stages 2–3, each one packed pass over every graph of the build.
@@ -305,31 +288,20 @@ class GraphConstructionPipeline:
                 )
         return pack
 
-    def _augment(self, graphs: List[ArrayGraph]) -> List[ArrayGraph]:
-        """Stage 4, batched across ``graphs`` unless configured off.
+    def _augment(self, pack: GraphPack) -> sp.csr_matrix:
+        """Stage 4 over the whole pack; returns its adjacency.
 
-        The batched path times the whole block-diagonal sweep once and
-        amortises it over the batch (``count=len(graphs)``), so
-        ``stage_report()`` keeps its per-graph mean semantics either
-        way.
+        One timed pass amortised over the pack (``count=len(pack)``),
+        so ``stage_report()`` keeps its per-graph mean semantics.
         """
         name = STAGE_NAMES[3]
-        if not graphs:
-            return graphs
-        if self.config.batch_stage4:
-            with obs.span(_STAGE_SPANS[name]):
-                start = time.perf_counter()
-                graphs = augment_graphs(graphs)
-                self.timer.add(
-                    name, time.perf_counter() - start, count=len(graphs)
-                )
-            return graphs
-        processed = []
         with obs.span(_STAGE_SPANS[name]):
-            for graph in graphs:
-                with self.timer.stage(name):
-                    processed.append(augment_graph(graph))
-        return processed
+            start = time.perf_counter()
+            adjacency = augment_pack(pack)
+            self.timer.add(
+                name, time.perf_counter() - start, count=len(pack)
+            )
+        return adjacency
 
     def build_many(
         self, index: ChainIndex, addresses: Sequence[str]
@@ -343,6 +315,34 @@ class GraphConstructionPipeline:
             index, {address: None for address in addresses}
         )
 
+    def build_pack(
+        self,
+        index: ChainIndex,
+        requests: "Dict[str, Optional[Sequence[int]]]",
+    ) -> Tuple[Optional[GraphPack], Optional[sp.csr_matrix]]:
+        """Stages 1–4 over every requested slice, as one pack.
+
+        ``requests`` maps each address to the slice indices wanted
+        (``None`` = every slice, like :meth:`build`).  Stage 1 builds
+        every slice graph of the call into one
+        :class:`~repro.graphs.arrays.GraphPack`, Stages 2–3 compress it
+        in one pass each, and Stage 4 attaches the stacked centralities
+        as the pack's ``centrality`` column.  Returns the pack (graphs
+        in request order, slices ascending; ``None`` when nothing was
+        requested) and its symmetric block-diagonal adjacency from
+        Stage 4 (``None`` with augmentation off), which
+        :func:`repro.gnn.data.encode_pack` reuses.
+        """
+        with obs.span(_STAGE_SPANS[STAGE_NAMES[0]]):
+            pack = self._extract(index, requests)
+        if pack is None:
+            return None, None
+        pack = self._compress(pack)
+        adjacency = None
+        if self.config.enable_augmentation:
+            adjacency = self._augment(pack)
+        return pack, adjacency
+
     def build_many_slices(
         self,
         index: ChainIndex,
@@ -350,28 +350,17 @@ class GraphConstructionPipeline:
     ) -> Dict[str, List[ArrayGraph]]:
         """Requested slice graphs of many addresses, each stage once.
 
-        ``requests`` maps each address to the slice indices wanted
-        (``None`` = every slice, like :meth:`build`).  Every stage runs
-        once over the union of all slice graphs of the call: Stage 1
-        builds them into one :class:`~repro.graphs.arrays.GraphPack`,
-        Stages 2–3 compress the pack in one pass each, and the pack is
-        cut into per-graph :class:`ArrayGraph` s only for the Stage-4
-        centrality sweep — the cross-address batching the serving layer
-        uses to amortise construction over a whole ``score()`` query.
+        :meth:`build_pack`, cut into per-graph :class:`ArrayGraph`
+        views: ``{address: [slice graphs...]}`` in request order.
         Every graph is identical to a build of its slice alone.
         """
-        with obs.span(_STAGE_SPANS[STAGE_NAMES[0]]):
-            pack, counts = self._extract(index, requests)
-        if pack is None:
-            return {address: [] for address in requests}
-        graphs = self._compress(pack).graphs()
-        if self.config.enable_augmentation:
-            self._augment(graphs)
-        prepared: Dict[str, List[ArrayGraph]] = {}
-        start = 0
-        for address, count in counts.items():
-            prepared[address] = graphs[start : start + count]
-            start += count
+        pack, _ = self.build_pack(index, requests)
+        prepared: Dict[str, List[ArrayGraph]] = {
+            address: [] for address in requests
+        }
+        if pack is not None:
+            for graph in pack.graphs():
+                prepared[graph.center_address].append(graph)
         return prepared
 
     def stage_report(self) -> List[Dict[str, float]]:
@@ -411,26 +400,3 @@ def stage_report_from_timer(timer: StageTimer) -> List[Dict[str, float]]:
             }
         )
     return report
-
-
-def worker_build_slices(
-    index: ChainIndex,
-    requests: "Dict[str, Optional[Sequence[int]]]",
-    config: GraphPipelineConfig,
-) -> "Tuple[Dict[str, List[ArrayGraph]], StageTimer]":
-    """Process-pool entry point: build requested slices, report timings.
-
-    The worker-side body of the cluster serving layer's miss path: a
-    private :class:`GraphConstructionPipeline` over ``config`` runs one
-    :meth:`~GraphConstructionPipeline.build_many_slices` call — so
-    Stage 4 batches across *every* address the worker owns — and the
-    pipeline's :class:`~repro.utils.timer.StageTimer` is returned
-    alongside the graphs so the parent process can merge construction
-    accounting across workers.  Everything returned is picklable
-    (ndarray-columned :class:`~repro.graphs.arrays.ArrayGraph` payloads
-    plus plain timer dicts), which is what lets the result travel back
-    over a ``multiprocessing`` pipe.
-    """
-    pipeline = GraphConstructionPipeline(config)
-    graphs = pipeline.build_many_slices(index, requests)
-    return graphs, pipeline.timer

@@ -23,20 +23,20 @@ forward per graph; the service instead:
   append-only history never change, so warm queries skip construction
   and, through the embedding cache, even the GNN forward.
 - **Builds misses in batches.**  Every miss path routes through
-  :meth:`~repro.graphs.pipeline.GraphConstructionPipeline.build_many_slices`,
-  one call per shard with misses, so the Stage-4 centrality kernels run
-  as block-diagonal sweeps over every address of the call, and the
-  call's graphs are encoded in one more sweep
-  (:func:`~repro.gnn.data.encode_graphs`).  With
-  ``num_workers == 0`` the parent builds inline; otherwise the calls fan
-  out over a pool of *long-lived* ``multiprocessing`` workers
-  (:class:`_WorkerPool`, :func:`~repro.graphs.pipeline.worker_build_slices`)
-  that encode the graphs, pre-propagate the GFN feature augmentation,
-  and ship the :class:`~repro.gnn.data.EncodedGraph` ndarray columns
-  back.  Block appends are *streamed* to the workers as tail-replay
-  messages over the same per-worker queues
+  :func:`~repro.gnn.data.build_encoded`, one call per shard with
+  misses: Stages 1–4 run once over every slice graph of the call as
+  one pack, and the pack is encoded in the same pass over the
+  block-diagonal adjacency Stage 4 built (Eq. 12, plus the GFN
+  feature propagation of Eq. 13).  With ``num_workers == 0`` the
+  parent builds inline; otherwise the calls fan out over a pool of
+  *long-lived* ``multiprocessing`` workers (:class:`_WorkerPool`) that
+  ship the :class:`~repro.gnn.data.EncodedGraph` ndarray columns back.
+  Block appends are *streamed* to the workers as tail-replay messages
+  over the same per-worker queues
   (:meth:`~repro.chain.explorer.ChainIndex.ingest_transactions`), so a
-  warm pool survives chain growth instead of being re-forked per block.
+  warm pool survives chain growth instead of being re-forked per block;
+  each worker holds and replays only the shard indexes it builds
+  from.
   **Inference stays in the parent**: the trained model is loaded
   exactly once, and all shards' slice sequences share one
   block-diagonal GNN batch + one padded sequence-head pass
@@ -98,13 +98,11 @@ from repro.chain.chain import Blockchain
 from repro.chain.explorer import ChainIndex
 from repro.chain.store import ChainStore, StoreBackedChainIndex
 from repro.errors import NotFittedError, ValidationError
-from repro.gnn.data import EncodedGraph, encode_sequences
-from repro.gnn.gfn import augment_features
+from repro.gnn.data import EncodedGraph, build_encoded
 from repro.graphs.pipeline import (
     GraphConstructionPipeline,
     GraphPipelineConfig,
     stage_report_from_timer,
-    worker_build_slices,
 )
 from repro.serve.cache import (
     CacheStats,
@@ -660,8 +658,21 @@ _COLLECT_POLL_SECONDS = 0.5
 _JOIN_TIMEOUT_SECONDS = 10.0
 
 
+def _owned_indexes(
+    indexes: Sequence[ChainIndex], worker_id: int, num_workers: int
+) -> Dict[int, ChainIndex]:
+    """The shard indexes worker ``worker_id`` builds from, by shard id:
+    ``shard_id % num_workers == worker_id``, the routing of
+    :meth:`_WorkerPool.submit`."""
+    return {
+        shard_id: index
+        for shard_id, index in enumerate(indexes)
+        if shard_id % num_workers == worker_id
+    }
+
+
 def _worker_main(
-    indexes: List[ChainIndex],
+    indexes: Dict[int, ChainIndex],
     pipeline_config: GraphPipelineConfig,
     gfn_k: Optional[int],
     tasks,
@@ -669,19 +680,23 @@ def _worker_main(
 ) -> None:
     """Long-lived shard worker loop: build tasks and ingest messages.
 
-    One FIFO task queue per worker is the ordering contract the parent
-    relies on: an ``ingest`` enqueued before a ``build`` is applied
-    before it, so a build planned against post-append shard state is
-    always constructed against post-append worker state.  ``ingest``
-    replays a ``(transaction, height)`` tail into every local shard
-    index (:meth:`~repro.chain.explorer.ChainIndex.ingest_transactions`
-    — idempotent, so overlapping tails are safe); ``remap`` is the
-    store-backed analogue — each local
+    ``indexes`` holds only the shard indexes this worker owns (see
+    :func:`_owned_indexes`), keyed by shard id.  One FIFO task queue
+    per worker is the ordering contract the parent relies on: an
+    ``ingest`` enqueued before a ``build`` is applied before it, so a
+    build planned against post-append shard state is always constructed
+    against post-append worker state.  ``ingest`` replays a
+    ``(transaction, height)`` tail into every owned shard index
+    (:meth:`~repro.chain.explorer.ChainIndex.ingest_transactions` —
+    idempotent, so overlapping tails are safe); ``remap`` is the
+    store-backed analogue — each owned
     :class:`~repro.chain.store.StoreBackedChainIndex` pulls the new
     tail segments straight from the mapped store directory, so nothing
     but the one-word message crosses the process boundary; ``build``
-    runs the usual per-shard miss construction and ships encoded graphs
-    back on the shared result queue; ``stop`` exits the loop.
+    runs the shard's miss construction and encoding as one packed pass
+    (:func:`~repro.gnn.data.build_encoded`, which also fills the GFN
+    ``gfn_k{k}`` caches when ``gfn_k`` is set) and ships the encoded
+    graphs back on the shared result queue; ``stop`` exits the loop.
 
     Observability rides the same messages: each ``build`` carries the
     parent's trace context, the worker runs the construction under a
@@ -699,28 +714,26 @@ def _worker_main(
             return
         if kind == "ingest":
             tail = message[1]
-            for index in indexes:
+            for index in indexes.values():
                 index.ingest_transactions(tail)
             continue
         if kind == "remap":
-            for index in indexes:
+            for index in indexes.values():
                 index.remap()
             continue
         _, seq, shard_id, requests, trace_context = message
         try:
             with obs.span_from_context("worker.build", trace_context):
-                index = indexes[shard_id]
-                graphs_by_address, timer = worker_build_slices(
-                    index, dict(requests), pipeline_config
+                pipeline = GraphConstructionPipeline(pipeline_config)
+                encoded = build_encoded(
+                    pipeline,
+                    indexes[shard_id],
+                    dict(requests),
+                    span="worker.encode",
+                    gfn_k=gfn_k,
                 )
-                with obs.span("worker.encode"):
-                    encoded = encode_sequences(graphs_by_address)
-                if gfn_k is not None:
-                    for rows in encoded.values():
-                        for row in rows:
-                            augment_features(row, gfn_k)
             results.put(
-                (seq, encoded, timer, None, obs.drain_for_shipping())
+                (seq, encoded, pipeline.timer, None, obs.drain_for_shipping())
             )
         except Exception as error:  # repro: lint-ignore[broad-except]
             # Process boundary: the failure must travel back as data or
@@ -750,7 +763,9 @@ class _WorkerPool:
     local shard indexes in place.  Build tasks for a given shard are
     pinned to one worker (``shard_id % num_workers``), so the
     per-worker FIFO gives the parent a simple linearization guarantee —
-    every build sees exactly the ingests enqueued before it.
+    every build sees exactly the ingests enqueued before it.  A worker
+    is handed only the shard indexes pinned to it, so an append costs
+    each shard one replay in one worker.
 
     A single collector thread drains the shared result queue, resolves
     the matching futures, and fails the futures of any worker that died
@@ -784,7 +799,7 @@ class _WorkerPool:
             context.Process(
                 target=_worker_main,
                 args=(
-                    indexes,
+                    _owned_indexes(indexes, worker_id, num_workers),
                     pipeline_config,
                     gfn_k,
                     self._tasks[worker_id],
@@ -1641,11 +1656,15 @@ class ClusterScoringService:
                     self.pipeline_config
                 )
                 with shard.build_lock:
-                    graphs_by_address = pipeline.build_many_slices(
-                        shard.index, requests
+                    built.update(
+                        build_encoded(
+                            pipeline,
+                            shard.index,
+                            requests,
+                            span="serve.encode",
+                            gfn_k=getattr(self.classifier.encoder, "k", None),
+                        )
                     )
-                with obs.span("serve.encode"):
-                    built.update(encode_sequences(graphs_by_address))
                 shard.merge_timer(pipeline.timer)
         return built
 

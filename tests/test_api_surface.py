@@ -116,12 +116,15 @@ class TestDocumentedSurface:
             assert name in serve.__all__, name
 
     def test_pipeline_batch_knobs(self):
-        """The documented Stage-4 batching switch and node budget."""
+        """Stage 4 always runs packed: the node budget is a module
+        constant, and no config field switches batching off."""
+        import dataclasses
+
         from repro.graphs import GraphPipelineConfig
         from repro.graphs.batched_centrality import DEFAULT_MAX_BATCH_NODES
 
-        config = GraphPipelineConfig()
-        assert config.batch_stage4 is True
+        fields = {f.name for f in dataclasses.fields(GraphPipelineConfig)}
+        assert not any("batch" in name for name in fields), fields
         assert DEFAULT_MAX_BATCH_NODES > 0
 
 

@@ -432,20 +432,24 @@ class TestAugmentGraphs:
 
 
 class TestPipelineIntegration:
-    def test_batch_switch_is_output_identical(self):
+    def test_packed_stage4_matches_per_graph_augment(self):
+        """Stage 4 over the build's pack equals :func:`augment_graph`
+        run graph by graph on the same Stage-3 graphs, bit for bit."""
         _, index, addresses = random_chain(seed=23)
-        batched = GraphConstructionPipeline(
+        packed = GraphConstructionPipeline(
             GraphPipelineConfig(slice_size=15)
         )
-        per_graph = GraphConstructionPipeline(
-            GraphPipelineConfig(slice_size=15, batch_stage4=False)
+        stage3 = GraphConstructionPipeline(
+            GraphPipelineConfig(slice_size=15, enable_augmentation=False)
         )
-        built_b = batched.build_many(index, addresses)
-        built_p = per_graph.build_many(index, addresses)
+        built_b = packed.build_many(index, addresses)
+        built_p = stage3.build_many(index, addresses)
         for address in addresses:
             assert len(built_b[address]) == len(built_p[address])
             for a, b in zip(built_b[address], built_p[address]):
-                assert np.array_equal(a.centrality, b.centrality)
+                assert np.array_equal(
+                    a.centrality, augment_graph(b).centrality
+                )
 
     def test_build_many_slices_matches_per_address_builds(self):
         _, index, addresses = random_chain(seed=31)
@@ -479,18 +483,18 @@ class TestPipelineIntegration:
         ][0]
         assert stage4["entries"] == total
 
-    def test_perf_knobs_do_not_change_fingerprint(self):
+    def test_fingerprint_tracks_construction_parameters(self):
         base = GraphPipelineConfig(slice_size=15)
-        assert (
-            base.fingerprint()
-            == GraphPipelineConfig(
-                slice_size=15, batch_stage4=False
-            ).fingerprint()
-        )
-        assert (
-            base.fingerprint()
-            != GraphPipelineConfig(slice_size=16).fingerprint()
-        )
+        assert base.fingerprint() == GraphPipelineConfig(
+            slice_size=15
+        ).fingerprint()
+        for changed in (
+            GraphPipelineConfig(slice_size=16),
+            GraphPipelineConfig(slice_size=15, psi=0.5),
+            GraphPipelineConfig(slice_size=15, sigma=3),
+            GraphPipelineConfig(slice_size=15, enable_augmentation=False),
+        ):
+            assert base.fingerprint() != changed.fingerprint()
 
     def test_default_fingerprint_is_pinned(self):
         """Warm caches persisted under the default config stay valid:

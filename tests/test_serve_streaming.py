@@ -147,6 +147,54 @@ class TestStreamingAppends:
             cluster.close()
 
 
+class TestWorkerShardOwnership:
+    def test_owned_indexes_follow_build_routing(self):
+        """Worker ``w`` holds exactly the shards ``submit`` pins to it."""
+        from repro.serve.cluster import _owned_indexes
+
+        shards = ["s0", "s1", "s2"]
+        assert _owned_indexes(shards, 0, 2) == {0: "s0", 2: "s2"}
+        assert _owned_indexes(shards, 1, 2) == {1: "s1"}
+        assert _owned_indexes(shards, 0, 1) == dict(enumerate(shards))
+
+    def test_three_shards_two_workers_match_rebuild(self, economy):
+        """Appends replayed only into each worker's own shards keep
+        every worker-built score equal to a from-scratch rebuild."""
+        chain, index, addresses, _, _ = economy
+        cluster = _cluster(
+            economy, connect=True, num_shards=3, num_workers=2
+        )
+        try:
+            cluster.score(addresses)
+            touched = set()
+            for shard_id in range(3):
+                try:
+                    target = _spendable(
+                        chain, index, addresses, cluster.router, shard_id
+                    )
+                except AssertionError:
+                    continue
+                append_self_spend(chain, target)
+                touched.add(shard_id % 2)
+            assert touched == {0, 1}  # both workers replayed an append
+            rescored = cluster.score(addresses)
+            assert cluster.pool_stats()["starts"] == 1
+        finally:
+            cluster.close()
+        rebuild = _cluster(economy, num_shards=3, num_workers=0)
+        try:
+            expected = rebuild.score(addresses)
+        finally:
+            rebuild.close()
+        for address in addresses:
+            np.testing.assert_allclose(
+                rescored[address].probabilities,
+                expected[address].probabilities,
+                rtol=1e-9,
+                atol=1e-9,
+            )
+
+
 class TestPerShardLocking:
     def test_disjoint_shards_do_not_contend(self, economy):
         """Holding shard A's lock stalls shard-A queries only: a
