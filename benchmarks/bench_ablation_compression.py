@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.eval import format_table, precision_recall_f1
-from repro.gnn import GFN, GraphTrainingConfig, encode_sequences, fit_graph_classifier
+from repro.gnn import GFN, GraphTrainingConfig, build_encoded, fit_graph_classifier
 from repro.graphs import GraphConstructionPipeline, GraphPipelineConfig
 
 from conftest import BENCH_SEED, BENCH_SLICE_SIZE, save_result
@@ -49,8 +49,13 @@ def test_ablation_compression(benchmark, bench_world, bench_split):
             pipeline = GraphConstructionPipeline(
                 GraphPipelineConfig(slice_size=BENCH_SLICE_SIZE, **overrides)
             )
-            graphs_by_address = pipeline.build_many(bench_world.index, addresses)
-            encoded = encode_sequences(graphs_by_address, label_map)
+            encoded = build_encoded(
+                pipeline,
+                bench_world.index,
+                {address: None for address in addresses},
+                span="bench.encode",
+                labels_by_address=label_map,
+            )
             train_graphs = [
                 g for a in train_split.addresses for g in encoded[a]
             ]

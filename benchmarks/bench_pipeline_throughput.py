@@ -16,15 +16,16 @@ Measures, on one synthetic economy:
   (:mod:`repro.graphs.reference`) on random graphs of ≥200 nodes, the
   acceptance gate for the vectorized rewrite (≥10× in full mode).
 - **Stage-4 cross-graph batching speedup** — the block-diagonal packed
-  Stage-4 sweep (``augment_graphs``, the same sweep the pipeline runs)
-  against the per-graph PR-3 path (``augment_graph`` in a loop) over
+  Stage-4 sweep (``augment_pack`` over ``GraphPack.of(graphs)``: the
+  pack plus the sweep the pipeline runs) against the per-graph PR-3 path (``augment_graph`` in a loop) over
   every slice graph of the run, with 1e-9 parity asserted graph by
   graph.  The acceptance gate for the batched rewrite (≥1.5× in full
   mode; the PR-3 full-mode rate is kept as
   ``stage4_pr3_graphs_per_second`` so the trajectory stays visible).
 - **Stage-1–3 construction speedup** — the ArrayGraph-native extraction
   + compression stages against the reference object pipeline
-  (``build_original_graph`` + reference set-based compressions) on the
+  (``repro.graphs.reference.build_original_graph`` + reference
+  set-based compressions) on the
   same transaction slices.  The pure-Python sets are surprisingly quick
   on paper-scale slice graphs (it was the PR-2 *vectorized-object*
   formulation — per-edge ``fromiter`` + object rebuilds — that was
@@ -56,14 +57,15 @@ from repro.datagen import WorldConfig, build_dataset, generate_world
 from repro.gnn.data import build_encoded
 from repro.graphs import (
     GraphConstructionPipeline,
+    GraphPack,
     GraphPipelineConfig,
     augment_graph,
-    augment_graphs,
-    build_original_graph,
+    augment_pack,
     centrality_matrix,
     slice_transactions,
 )
 from repro.graphs.reference import (
+    build_original_graph,
     reference_centrality_matrix,
     reference_compress_multi_transaction_addresses,
     reference_compress_single_transaction_addresses,
@@ -179,9 +181,10 @@ def _stage4_batch_comparison(graphs):
     expected = [graph.centrality.copy() for graph in graphs]
 
     start = time.perf_counter()
-    augment_graphs(graphs)
+    pack = GraphPack.of(graphs)
+    augment_pack(pack)
     batched_seconds = time.perf_counter() - start
-    for graph, reference in zip(graphs, expected):
+    for graph, reference in zip(pack.graphs(), expected):
         np.testing.assert_allclose(
             graph.centrality, reference, rtol=1e-9, atol=1e-9
         )

@@ -58,7 +58,7 @@ def test_table5_construction_overhead(benchmark, bench_world, bench_split):
             GraphPipelineConfig(slice_size=BENCH_SLICE_SIZE)
         )
         for address in addresses:
-            pipeline.build(bench_world.index, address)
+            pipeline.build_many(bench_world.index, [address])
         return pipeline
 
     pipeline = benchmark.pedantic(run, rounds=1, iterations=1)

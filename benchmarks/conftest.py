@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.datagen import WorldConfig, build_dataset, generate_world
-from repro.gnn import EncodedGraph, encode_sequences
+from repro.gnn import EncodedGraph, build_encoded
 from repro.graphs import GraphConstructionPipeline, GraphPipelineConfig
 
 BENCH_SEED = 2023
@@ -83,8 +83,13 @@ def bench_graphs(bench_world, bench_split) -> Dict:
         **dict(zip(test.addresses, (int(v) for v in test.labels))),
     }
     addresses = list(train.addresses) + list(test.addresses)
-    graphs_by_address = pipeline.build_many(bench_world.index, addresses)
-    encoded_by_address = encode_sequences(graphs_by_address, label_map)
+    encoded_by_address = build_encoded(
+        pipeline,
+        bench_world.index,
+        {address: None for address in addresses},
+        span="bench.encode",
+        labels_by_address=label_map,
+    )
 
     def flat(split) -> List[EncodedGraph]:
         return [g for a in split.addresses for g in encoded_by_address[a]]

@@ -79,7 +79,7 @@ def main() -> None:
 
     print("\nBuilding the address graph for the miner's reward address ...")
     pipeline = GraphConstructionPipeline(GraphPipelineConfig(slice_size=10))
-    graphs = pipeline.build(index, reward_address)
+    graphs = pipeline.build_many(index, [reward_address])[reward_address]
     graph = graphs[0]
     kinds = {
         kind: len(graph.nodes_of_kind(kind))

@@ -18,7 +18,7 @@ import numpy as np
 from repro import WorldConfig, build_dataset, generate_world
 from repro.baselines import BitScopeClassifier, LeeClassifier
 from repro.eval import format_table, precision_recall_f1
-from repro.gnn import GCN, GFN, GraphTrainingConfig, encode_sequences, fit_graph_classifier
+from repro.gnn import GCN, GFN, GraphTrainingConfig, build_encoded, fit_graph_classifier
 from repro.graphs import GraphConstructionPipeline, GraphPipelineConfig, flatten_graphs
 from repro.ml import GradientBoostingClassifier
 
@@ -33,12 +33,17 @@ def main() -> None:
 
     pipeline = GraphConstructionPipeline(GraphPipelineConfig(slice_size=40))
     addresses = list(train.addresses) + list(test.addresses)
-    graphs_by_address = pipeline.build_many(world.index, addresses)
     label_map = {
         **dict(zip(train.addresses, (int(v) for v in train.labels))),
         **dict(zip(test.addresses, (int(v) for v in test.labels))),
     }
-    encoded = encode_sequences(graphs_by_address, label_map)
+    encoded = build_encoded(
+        pipeline,
+        world.index,
+        {address: None for address in addresses},
+        span="example.encode",
+        labels_by_address=label_map,
+    )
     train_graphs = [g for a in train.addresses for g in encoded[a]]
     test_graphs = [g for a in test.addresses for g in encoded[a]]
     graph_truth = np.array([g.label for g in test_graphs])
@@ -58,6 +63,7 @@ def main() -> None:
         results.append([name, report.weighted_f1, time.perf_counter() - start])
 
     print("Training classical pipeline (GBDT on flattened graphs) ...")
+    graphs_by_address = pipeline.build_many(world.index, addresses)
     x_train = np.stack([flatten_graphs(graphs_by_address[a]) for a in train.addresses])
     x_test = np.stack([flatten_graphs(graphs_by_address[a]) for a in test.addresses])
     start = time.perf_counter()

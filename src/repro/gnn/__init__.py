@@ -11,9 +11,7 @@ from repro.gnn.data import (
     GraphBatch,
     build_encoded,
     encode_graph,
-    encode_graphs,
     encode_pack,
-    encode_sequences,
 )
 from repro.gnn.diffpool import DiffPool
 from repro.gnn.gcn import GCN
@@ -32,9 +30,7 @@ __all__ = [
     "GraphBatch",
     "build_encoded",
     "encode_graph",
-    "encode_graphs",
     "encode_pack",
-    "encode_sequences",
     "DiffPool",
     "GCN",
     "GFN",

@@ -13,19 +13,16 @@ Stage 4 already built: node features from the pack's columns, Eq. 12
 once over the whole pack and, for GFN, Eq. 13's ``[d, X, ÃX, …, ÃᵏX]``
 propagated over the packed Ã, cut per graph into its ``gfn_k{k}``
 cache entry.  Serving (inline and in worker processes) and the
-classifier all call it.  :func:`encode_graphs`, :func:`encode_graph`
-and :func:`encode_sequences` pack already-built graphs and call
-:func:`encode_pack`.  A :class:`GraphBatch` stacks several encoded
-graphs into one disconnected super-graph (block-diagonal Ã,
-concatenated features, and a segment-id vector mapping nodes back to
-graphs for readout).
+classifier all call it; :func:`encode_graph` is its one-graph form.
+A :class:`GraphBatch` stacks several encoded graphs into one
+disconnected super-graph (block-diagonal Ã, concatenated features, and
+a segment-id vector mapping nodes back to graphs for readout).
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +32,7 @@ from repro.errors import ValidationError
 from repro.features.sfe import sfe_matrix_segments, signed_log1p
 from repro.graphs.arrays import ArrayGraph, GraphPack
 from repro.graphs.matrices import symmetric_adjacency
-from repro.graphs.model import _CENTRALITY_DIMS, NODE_KIND_ORDER, AddressGraph
+from repro.graphs.model import _CENTRALITY_DIMS, NODE_KIND_ORDER
 
 if TYPE_CHECKING:
     from repro.chain.explorer import ChainIndex
@@ -46,16 +43,9 @@ __all__ = [
     "GraphBatch",
     "build_encoded",
     "encode_graph",
-    "encode_graphs",
     "encode_pack",
-    "encode_sequences",
     "gfn_cache_key",
 ]
-
-#: Both graph flavours encode identically: the pipeline natively yields
-#: :class:`~repro.graphs.arrays.ArrayGraph`, and object-model graphs are
-#: converted with :meth:`~repro.graphs.arrays.ArrayGraph.from_address_graph`.
-AnyGraph = Union[AddressGraph, ArrayGraph]
 
 
 @dataclass
@@ -119,7 +109,7 @@ def build_encoded(
 
     ``requests`` maps each address to the slice indices wanted (``None``
     = every slice), as for
-    :meth:`~repro.graphs.pipeline.GraphConstructionPipeline.build_many_slices`.
+    :meth:`~repro.graphs.pipeline.GraphConstructionPipeline.build_pack`.
     Stages 1–4 run once over the whole request as one pack, and
     :func:`encode_pack` (under a span named ``span``) encodes it with
     the adjacency Stage 4 built.  ``gfn_k`` (the GFN encoder's depth,
@@ -257,81 +247,17 @@ def _pack_features(pack: GraphPack) -> np.ndarray:
     return np.hstack([stats, centrality, kind_onehot, center_flag])
 
 
-def encode_graph(graph: AnyGraph, label: int = -1) -> EncodedGraph:
-    """Freeze one slice graph (either flavour) for training/inference:
-    ``encode_graphs([graph], [label])[0]``."""
-    return encode_graphs([graph], [label])[0]
+def encode_graph(graph: ArrayGraph, label: int = -1) -> EncodedGraph:
+    """Freeze one slice graph: :func:`encode_pack` over a one-graph pack.
 
-
-def encode_graphs(
-    graphs: Sequence[AnyGraph], labels: Optional[Sequence[int]] = None
-) -> List[EncodedGraph]:
-    """Freeze a batch of already-built slice graphs (either flavour, in
-    any mix): packs them and calls :func:`encode_pack`.
-
-    Graphs without centrality encode with zero centrality columns, as
-    :meth:`~repro.graphs.arrays.ArrayGraph.feature_matrix` does, even
-    next to augmented graphs.  ``labels`` defaults to ``-1`` for every
-    graph.  An empty graph anywhere in the batch raises
-    :class:`~repro.errors.ValidationError` naming its address.
+    An empty graph raises :class:`~repro.errors.ValidationError` naming
+    its address.
     """
-    for graph in graphs:
-        if graph.num_nodes == 0:
-            raise ValidationError(
-                f"cannot encode empty graph for {graph.center_address[:12]}"
-            )
-    if labels is not None and len(labels) != len(graphs):
+    if graph.num_nodes == 0:
         raise ValidationError(
-            f"got {len(labels)} labels for {len(graphs)} graphs"
+            f"cannot encode empty graph for {graph.center_address[:12]}"
         )
-    if not graphs:
-        return []
-    arrays = [
-        graph if isinstance(graph, ArrayGraph)
-        else ArrayGraph.from_address_graph(graph)
-        for graph in graphs
-    ]
-    if any(graph.centrality is not None for graph in arrays):
-        arrays = [_with_centrality(graph) for graph in arrays]
-    return encode_pack(GraphPack.of(arrays), labels=labels)
-
-
-def _with_centrality(graph: ArrayGraph) -> ArrayGraph:
-    """``graph``, or a shallow copy with zero centrality if it has none
-    (a pack cannot mix graphs with and without centrality)."""
-    if graph.centrality is not None:
-        return graph
-    graph = copy.copy(graph)
-    graph.centrality = np.zeros(
-        (graph.num_nodes, _CENTRALITY_DIMS), dtype=np.float64
-    )
-    return graph
-
-
-def encode_sequences(
-    graphs_by_address: Dict[str, List[AnyGraph]],
-    labels_by_address: Optional[Dict[str, int]] = None,
-) -> Dict[str, List[EncodedGraph]]:
-    """Encode every slice graph of every address, preserving slice order,
-    in one :func:`encode_graphs` batch.  Addresses missing from
-    ``labels_by_address`` (or all of them, when it is omitted) are
-    labelled ``-1``."""
-    labels_by_address = labels_by_address or {}
-    ordered: Dict[str, List[AnyGraph]] = {
-        address: sorted(graphs, key=lambda g: g.slice_index)
-        for address, graphs in graphs_by_address.items()
-    }
-    flat = [graph for graphs in ordered.values() for graph in graphs]
-    labels = [
-        labels_by_address.get(address, -1)
-        for address, graphs in ordered.items()
-        for _ in graphs
-    ]
-    rows = iter(encode_graphs(flat, labels))
-    return {
-        address: [next(rows) for _ in graphs]
-        for address, graphs in ordered.items()
-    }
+    return encode_pack(GraphPack.of([graph]), labels=[label])[0]
 
 
 class GraphBatch:

@@ -1,13 +1,15 @@
 """``ArrayGraph`` — the columnar (ndarray-backed) slice-graph substrate.
 
-The object model (:class:`~repro.graphs.model.AddressGraph` holding one
-:class:`~repro.graphs.model.GraphNode` / ``GraphEdge`` per node/edge) is
-convenient for inspection but dominates the cost of the per-address
-serving path: building, compressing, and re-building tens of thousands
-of small Python objects per query (paper Table V: graph construction
-dominates end-to-end latency).  ``ArrayGraph`` keeps the *same graph* in
-a handful of flat arrays so every pipeline stage can stay in array land
-from Stage-1 extraction through GNN encoding.
+Every production graph is a handful of flat arrays rather than one
+Python object per node and edge: building, compressing and re-building
+tens of thousands of small objects per query would dominate the
+serving path (paper Table V: graph construction dominates end-to-end
+latency).  ``ArrayGraph`` holds one slice graph and :class:`GraphPack`
+the graphs of one build, so every pipeline stage stays in array land
+from Stage-1 extraction through GNN encoding.  The per-node object
+model survives only as the reference formulation in
+:mod:`repro.graphs.reference`, which converts to and from these
+columns.
 
 Layout
 ------
@@ -42,34 +44,23 @@ address → tx, output-side edges tx → address):
     edges by summing values (Eq. 7's edge union).
 ``edge_times``
     ``float64`` timestamp of the transaction that produced each edge
-    (0.0 for graphs converted from objects, which carry no edge times);
-    an aggregated edge keeps its first-seen member's timestamp.  No
-    current feature consumes this column — it exists for the
-    time-window workloads the chain-scale datasets need (temporal edge
-    features, per-window slicing) so those can land without another
-    Stage-1 rewrite.
-
-Conversion API
---------------
-
-``ArrayGraph.from_address_graph`` / ``ArrayGraph.to_address_graph``
-round-trip exactly on every structural column (kinds, refs, merge
-counts, value bags, edges, centrality) — only ``edge_times`` is lost,
-because the object model has no edge-timestamp field (it reads back as
-0.0).  ``AddressGraph.from_arrays`` / ``AddressGraph.to_arrays`` are
-the mirror-image wrappers — so reference kernels, baselines, and
-examples that want per-node objects keep working on pipeline output at
-the cost of one conversion.
+    (0.0 for graphs converted from the reference object model, which
+    carries no edge times); an aggregated edge keeps its first-seen
+    member's timestamp.  No current feature consumes this column — it
+    exists for the time-window workloads the chain-scale datasets need
+    (temporal edge features, per-window slicing) so those can land
+    without another Stage-1 rewrite.
 
 Packs
 -----
 
 :class:`GraphPack` holds the graphs of one build in one global node
 space: the same columns, concatenated, with each graph's edges and bag
-offsets shifted by its node and bag offsets.  Stages 1–3 run on packs
-(one numpy pass per stage for the whole build, not one per graph);
-:meth:`GraphPack.graphs` cuts the per-graph :class:`ArrayGraph` views
-Stage 4 takes.
+offsets shifted by its node and bag offsets.  Stages 1–4 and encoding
+run on packs (one numpy pass per stage for the whole build, not one
+per graph);
+:meth:`GraphPack.graphs` cuts per-graph :class:`ArrayGraph` views out
+of a pack, and :meth:`GraphPack.of` packs graphs.
 """
 
 from __future__ import annotations
@@ -82,14 +73,7 @@ import scipy.sparse as sp
 
 from repro.errors import ValidationError
 from repro.features.sfe import sfe_matrix_segments, signed_log1p
-from repro.graphs.model import (
-    _CENTRALITY_DIMS,
-    NODE_FEATURE_DIM,
-    NODE_KIND_ORDER,
-    AddressGraph,
-    GraphEdge,
-    GraphNode,
-)
+from repro.graphs.model import _CENTRALITY_DIMS, NODE_FEATURE_DIM, NODE_KIND_ORDER
 
 __all__ = ["ArrayGraph", "GraphPack", "KIND_CODES"]
 
@@ -269,9 +253,8 @@ class ArrayGraph:
 
         One segmented SFE pass directly over the stored bag arrays (no
         per-node bag materialisation) plus columnar centrality / kind /
-        centre-flag assembly; identical to
-        :meth:`AddressGraph.feature_matrix` on the converted graph.
-        ``raw=True`` keeps SFE statistics at satoshi magnitude.
+        centre-flag assembly; identical to the reference object model's
+        ``feature_matrix`` on the converted graph.  ``raw=True`` keeps SFE statistics at satoshi magnitude.
         """
         n = self.num_nodes
         if n == 0:
@@ -289,95 +272,6 @@ class ArrayGraph:
         if self._center_id is not None:
             center_flag[self._center_id, 0] = 1.0
         return np.hstack([stats, centrality, kind_onehot, center_flag])
-
-    # ------------------------------------------------------------------ #
-    # Conversion
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_address_graph(cls, graph: AddressGraph) -> "ArrayGraph":
-        """Columnar copy of an object-model graph (lossless)."""
-        n = graph.num_nodes
-        e = graph.num_edges
-        kind_codes = np.fromiter(
-            (KIND_CODES[node.kind] for node in graph.nodes),
-            dtype=np.int64,
-            count=n,
-        )
-        refs = np.empty(n, dtype=object)
-        for i, node in enumerate(graph.nodes):
-            refs[i] = node.ref
-        merged_counts = np.fromiter(
-            (node.merged_count for node in graph.nodes),
-            dtype=np.int64,
-            count=n,
-        )
-        bag_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(
-            [len(node.values) for node in graph.nodes], out=bag_indptr[1:]
-        )
-        bag_values = np.array(
-            [v for node in graph.nodes for v in node.values], dtype=np.float64
-        )
-        edge_src = np.fromiter(
-            (edge.src for edge in graph.edges), dtype=np.int64, count=e
-        )
-        edge_dst = np.fromiter(
-            (edge.dst for edge in graph.edges), dtype=np.int64, count=e
-        )
-        edge_values = np.fromiter(
-            (edge.value for edge in graph.edges), dtype=np.float64, count=e
-        )
-        centrality: Optional[np.ndarray] = None
-        if any(node.centrality is not None for node in graph.nodes):
-            centrality = np.zeros((n, _CENTRALITY_DIMS), dtype=np.float64)
-            for node in graph.nodes:
-                if node.centrality is not None:
-                    centrality[node.node_id] = node.centrality
-        return cls(
-            center_address=graph.center_address,
-            slice_index=graph.slice_index,
-            time_range=graph.time_range,
-            kind_codes=kind_codes,
-            refs=refs,
-            merged_counts=merged_counts,
-            bag_values=bag_values,
-            bag_indptr=bag_indptr,
-            edge_src=edge_src,
-            edge_dst=edge_dst,
-            edge_values=edge_values,
-            edge_times=np.zeros(e, dtype=np.float64),
-            centrality=centrality,
-            center_id=graph.center_node_id(),
-        )
-
-    def to_address_graph(self) -> AddressGraph:
-        """Object-model copy of this graph (lossless except edge times)."""
-        out = AddressGraph(
-            center_address=self.center_address,
-            slice_index=self.slice_index,
-            time_range=self.time_range,
-        )
-        indptr = self.bag_indptr
-        for i in range(self.num_nodes):
-            kind = NODE_KIND_ORDER[self.kind_codes[i]]
-            node = GraphNode(
-                node_id=i,
-                kind=kind,
-                ref=self.refs[i],
-                values=self.bag_values[indptr[i] : indptr[i + 1]].tolist(),
-                merged_count=int(self.merged_counts[i]),
-                centrality=(
-                    self.centrality[i] if self.centrality is not None else None
-                ),
-            )
-            out.nodes.append(node)
-            out._node_by_ref[(kind, node.ref)] = i
-        out.edges = [
-            GraphEdge(src=int(s), dst=int(d), value=float(v))
-            for s, d, v in zip(self.edge_src, self.edge_dst, self.edge_values)
-        ]
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

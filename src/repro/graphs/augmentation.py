@@ -18,8 +18,7 @@ pack's ``centrality`` column, and the adjacency is handed on to the
 encoder (:func:`repro.gnn.data.encode_pack`), which renormalises the
 same matrix instead of building it again.
 
-:func:`augment_graphs` packs a list of graphs (either flavour) and runs
-the same sweep; :func:`augment_graph` runs the per-graph kernels
+:func:`augment_graph` runs the per-graph kernels
 (:func:`repro.graphs.centrality.centrality_matrix_csr`) and is the
 oracle the packed pass is held to bit for bit.
 
@@ -28,16 +27,9 @@ PageRank (Eq. 11) is solved exactly rather than iterated:
 up to ``PAGERANK_DENSE_MAX_NODES`` (256) nodes as a dense linear
 system, one stacked solve per node count, and iterates only larger
 graphs.
-
-On the columnar :class:`~repro.graphs.arrays.ArrayGraph` substrate the
-whole ``(num_nodes, 4)`` float64 matrix is attached as the graph's
-``centrality`` column; object-model graphs receive one row view per
-node.
 """
 
 from __future__ import annotations
-
-from typing import List, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,113 +38,66 @@ from repro.graphs.arrays import ArrayGraph, GraphPack
 from repro.graphs.batched_centrality import (
     DEFAULT_MAX_BATCH_NODES,
     centrality_matrix_block_diagonal,
-    plan_packs,
 )
 from repro.graphs.centrality import _diagonal_block, centrality_matrix_csr
 from repro.graphs.matrices import symmetric_adjacency
-from repro.graphs.model import _CENTRALITY_DIMS, AddressGraph
+from repro.graphs.model import _CENTRALITY_DIMS
 
-__all__ = ["augment_graph", "augment_graphs", "augment_pack"]
-
-AnyGraph = Union[AddressGraph, ArrayGraph]
+__all__ = ["augment_graph", "augment_pack"]
 
 
-def augment_graph(graph: AnyGraph) -> AnyGraph:
+def augment_graph(graph: ArrayGraph) -> ArrayGraph:
     """Compute and attach centrality features in place; returns the graph.
 
     Attaches the ``(num_nodes, 4)`` float64 centrality matrix (column
     order degree, closeness, betweenness, PageRank — Eq. 8–11) as the
-    ``centrality`` column of an :class:`ArrayGraph`, or as per-node row
-    views on an object-model :class:`AddressGraph`.  An empty graph is
-    returned unchanged (its ``centrality`` stays ``None``).
+    graph's ``centrality`` column.  An empty graph is returned unchanged
+    (its ``centrality`` stays ``None``).
     """
-    if graph.num_nodes == 0:
-        return graph
-    matrix = centrality_matrix_csr(graph.adjacency_matrix())
-    _attach(graph, matrix)
+    if graph.num_nodes:
+        graph.centrality = centrality_matrix_csr(graph.adjacency_matrix())
     return graph
 
 
-def augment_pack(
-    pack: GraphPack, max_batch_nodes: "int | None" = DEFAULT_MAX_BATCH_NODES
-) -> sp.csr_matrix:
+def augment_pack(pack: GraphPack) -> sp.csr_matrix:
     """Stage 4 over a whole build's pack, in place; returns its adjacency.
 
     Sets ``pack.centrality`` to the stacked ``(num_nodes, 4)`` rows and
     returns the pack's symmetric block-diagonal adjacency for the
-    encoder to reuse.  ``max_batch_nodes`` bounds the ``64 × N``
-    dense scratch of one sweep (``None`` sweeps the pack at once); it
-    never changes results.
+    encoder to reuse.
     """
     adjacency = symmetric_adjacency(
         pack.edge_src, pack.edge_dst, pack.num_nodes
     )
-    pack.centrality = _pack_centrality(
-        adjacency, pack.node_offsets, max_batch_nodes
-    )
+    pack.centrality = _pack_centrality(adjacency, pack.node_offsets)
     return adjacency
 
 
-def augment_graphs(
-    graphs: Sequence[AnyGraph],
-    max_batch_nodes: "int | None" = DEFAULT_MAX_BATCH_NODES,
-) -> List[AnyGraph]:
-    """Stage 4 over a list of graphs (either flavour, in any mix), in place.
-
-    Packs the non-empty graphs' edge columns into one block-diagonal
-    adjacency and runs :func:`augment_pack`'s sweep over it; each graph
-    receives its own ``(n_g, 4)`` slice of the stacked result (a fresh
-    array, not a view into the pack).  Empty graphs are left unchanged
-    exactly like :func:`augment_graph`.  Returns the input graphs as a
-    list, in order.
-    """
-    graphs = list(graphs)
-    candidates = [graph for graph in graphs if graph.num_nodes > 0]
-    if not candidates:
-        return graphs
-    offsets = np.zeros(len(candidates) + 1, dtype=np.int64)
-    np.cumsum([graph.num_nodes for graph in candidates], out=offsets[1:])
-    shift = np.repeat(
-        offsets[:-1], [graph.num_edges for graph in candidates]
-    )
-    columns = [graph.edge_arrays() for graph in candidates]
-    adjacency = symmetric_adjacency(
-        np.concatenate([src for src, _ in columns]) + shift,
-        np.concatenate([dst for _, dst in columns]) + shift,
-        int(offsets[-1]),
-    )
-    stacked = _pack_centrality(adjacency, offsets, max_batch_nodes)
-    bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
-    for graph, (lo, hi) in zip(candidates, bounds):
-        _attach(graph, stacked[lo:hi].copy())
-    return graphs
-
-
 def _pack_centrality(
-    adjacency: sp.csr_matrix,
-    offsets: np.ndarray,
-    max_batch_nodes: "int | None",
+    adjacency: sp.csr_matrix, offsets: np.ndarray
 ) -> np.ndarray:
     """Centralities of a symmetric block-diagonal adjacency, one sweep
-    per contiguous run of graphs under the node budget."""
+    per contiguous run of graphs.
+
+    A run grows greedily until the next graph would take it past
+    ``DEFAULT_MAX_BATCH_NODES`` nodes, which bounds the ``64 × N``
+    dense scratch of one sweep; a graph larger than the budget runs
+    alone.  The runs never change results.
+    """
     bounds = offsets.tolist()
+    num_graphs = len(bounds) - 1
+    runs = []
+    first = 0
+    for g in range(1, num_graphs):
+        if bounds[g + 1] - bounds[first] > DEFAULT_MAX_BATCH_NODES:
+            runs.append((first, g))
+            first = g
+    runs.append((first, num_graphs))
     out = np.empty((bounds[-1], _CENTRALITY_DIMS), dtype=np.float64)
-    for run in plan_packs(
-        np.diff(offsets), max_batch_nodes, size_sort=False
-    ):
-        first, last = int(run[0]), int(run[-1]) + 1
+    for first, last in runs:
         lo, hi = bounds[first], bounds[last]
         block = _diagonal_block(adjacency, lo, hi)
         out[lo:hi] = centrality_matrix_block_diagonal(
             block, offsets[first : last + 1] - lo, transpose=block
         )
     return out
-
-
-def _attach(graph: AnyGraph, matrix: np.ndarray) -> None:
-    """Attach a computed centrality matrix to either graph flavour."""
-    if isinstance(graph, ArrayGraph):
-        graph.centrality = matrix
-        return
-    for node in graph.nodes:
-        node.centrality = matrix[node.node_id]

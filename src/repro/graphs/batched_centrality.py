@@ -1,13 +1,15 @@
-"""Cross-graph block-diagonal centrality batching (Stage 4 at batch scale).
+"""Cross-graph block-diagonal centrality (Stage 4 at batch scale).
 
 Stage 4 runs in the many-tiny-graphs regime: each slice graph needs its
 *own* small frontier-batched BFS, Brandes sweep and PageRank, so
 per-call scipy/Python overhead — CSR builds, transposes, per-level loop
-iterations — is paid once per graph.  This module packs a whole batch
-of slice graphs into **one** block-diagonal CSR adjacency (node ids
-offset per graph, edge columns concatenated) and runs every kernel once
-over the packed matrix, then scatters the per-graph ``(n_g, 4)``
-centrality matrices back via the node offsets.
+iterations — would be paid once per graph.  A build's graphs instead
+share **one** block-diagonal CSR adjacency (node ids offset per graph:
+the pack's global edge columns, see
+:func:`repro.graphs.augmentation.augment_pack`), and
+:func:`centrality_matrix_block_diagonal` runs every kernel once over
+it, returning the per-graph ``(n_g, 4)`` centrality rows stacked in
+node order.
 
 Why this is exact
 -----------------
@@ -42,29 +44,19 @@ batches are pinned to 1e-9 parity against both the per-graph CSR path
 and the pure-Python :mod:`repro.graphs.reference` oracles in
 ``tests/test_batched_centrality.py``.
 
-Scratch memory is ``O(64 × N_batch)`` per sweep, so callers bound the
-pack size: :func:`batched_centrality_matrices` splits oversized batches
-into chunks of at most ``max_batch_nodes`` nodes, and Stage 4
-(:func:`repro.graphs.augmentation.augment_pack`) runs one sweep per
-contiguous run of graphs of its build's pack under the same budget.
-
-:func:`batched_centrality_matrices` packs **skew-aware**: seed rows
-are per-source-index, so the number of frontier row blocks a pack pays
-for is ``ceil(max_g n_g / 64)`` — one graph much larger than its
-packmates serializes the whole chunk through its own tail rows while
-every smaller graph sits idle.
-:func:`plan_packs` therefore size-sorts graphs (descending, stable)
-before the greedy node-budget chunking, so similar-sized graphs share
-packs and each chunk's ``max_g n_g`` hugs its average.  Sorting changes
-*which* graphs share a pack, never any result: per-graph outputs are
-independent of packmates (disconnected blocks), which
-``tests/test_batched_centrality.py`` pins with order-invariance tests.
-Results are always scattered back in input order.
+Scratch memory is ``O(64 × N_batch)`` per sweep, so Stage 4 runs one
+sweep per contiguous run of graphs of at most
+:data:`DEFAULT_MAX_BATCH_NODES` nodes.  Because seed rows are
+per-source-index, a run pays ``ceil(max_g n_g / 64)`` frontier row
+blocks: one graph much larger than its runmates serializes the run
+through its own tail rows.  Which graphs share a run never changes a
+result — per-graph outputs are independent of packmates (disconnected
+blocks).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,129 +71,15 @@ from repro.graphs.centrality import (
 
 __all__ = [
     "DEFAULT_MAX_BATCH_NODES",
-    "pack_block_diagonal",
-    "plan_packs",
     "centrality_matrix_block_diagonal",
-    "batched_centrality_matrices",
 ]
 
-#: Node budget per packed batch.  Bigger packs amortise per-call
+#: Stage 4's node budget per sweep.  Bigger runs amortise per-call
 #: overhead but grow the dense ``64 × N_batch`` frontier/σ/δ scratch of
 #: every BFS level.  On the full pipeline bench's 722 slice graphs
 #: (≤105 nodes), budgets of 512–2048 nodes ran within noise of each
 #: other and 8192 was ~1.5× slower.
 DEFAULT_MAX_BATCH_NODES = 1024
-
-
-def pack_block_diagonal(
-    matrices: Sequence[sp.csr_matrix],
-) -> Tuple[sp.csr_matrix, np.ndarray]:
-    """Stack square CSR adjacencies into one block-diagonal CSR.
-
-    Returns ``(packed, offsets)`` where ``packed`` is the
-    ``(N, N)`` block-diagonal matrix (``N = Σ n_g``) and ``offsets`` is
-    the ``int64`` array of ``len(matrices) + 1`` node offsets: graph
-    ``g`` owns packed rows ``offsets[g]:offsets[g + 1]``.  Rows are
-    copied verbatim (indices shifted by the block offset, no re-sort),
-    so each diagonal block is structurally identical to its input —
-    including empty ``0 × 0`` blocks, which occupy zero rows.
-    """
-    sizes = []
-    for matrix in matrices:
-        rows, cols = matrix.shape
-        if rows != cols:
-            raise ValidationError(
-                f"adjacency matrices must be square, got {rows}x{cols}"
-            )
-        sizes.append(rows)
-    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    total = int(offsets[-1])
-    if not matrices or total == 0:
-        return sp.csr_matrix((total, total), dtype=np.float64), offsets
-    indptr = np.zeros(total + 1, dtype=np.int64)
-    nnz_offset = 0
-    indices_parts: List[np.ndarray] = []
-    data_parts: List[np.ndarray] = []
-    for matrix, offset in zip(matrices, offsets[:-1]):
-        n = matrix.shape[0]
-        if n == 0:
-            continue
-        indptr[offset + 1 : offset + n + 1] = matrix.indptr[1:] + nnz_offset
-        indices_parts.append(matrix.indices.astype(np.int64) + offset)
-        data_parts.append(matrix.data.astype(np.float64, copy=False))
-        nnz_offset += matrix.indptr[-1]
-    indices = (
-        np.concatenate(indices_parts)
-        if indices_parts
-        else np.zeros(0, dtype=np.int64)
-    )
-    data = (
-        np.concatenate(data_parts)
-        if data_parts
-        else np.zeros(0, dtype=np.float64)
-    )
-    return sp.csr_matrix((data, indices, indptr), shape=(total, total)), offsets
-
-
-def _chunk_by_nodes(
-    sizes: Sequence[int], max_batch_nodes: Optional[int]
-) -> List[Tuple[int, int]]:
-    """Greedy contiguous ``[start, end)`` chunks under the node budget.
-
-    Every chunk holds at least one graph, so a single graph larger than
-    the budget still runs (in its own pack).
-    """
-    if not sizes:
-        return []
-    if max_batch_nodes is None:
-        return [(0, len(sizes))]
-    if max_batch_nodes <= 0:
-        raise ValidationError(
-            f"max_batch_nodes must be > 0 or None, got {max_batch_nodes}"
-        )
-    chunks: List[Tuple[int, int]] = []
-    start = 0
-    nodes = 0
-    for i, size in enumerate(sizes):
-        if i > start and nodes + size > max_batch_nodes:
-            chunks.append((start, i))
-            start = i
-            nodes = 0
-        nodes += size
-    chunks.append((start, len(sizes)))
-    return chunks
-
-
-def plan_packs(
-    sizes: Sequence[int],
-    max_batch_nodes: Optional[int] = DEFAULT_MAX_BATCH_NODES,
-    size_sort: bool = True,
-) -> List[np.ndarray]:
-    """Partition graphs into block-diagonal packs under the node budget.
-
-    Returns a list of ``int64`` index arrays into the caller's graph
-    sequence — each array is one pack.  With ``size_sort=True`` (the
-    default) graphs are ordered by descending node count (stable for
-    ties) before the greedy budget chunking, so one giant graph packs
-    with its peers instead of serializing a chunk of small graphs
-    through its tail frontier rows.  ``size_sort=False`` keeps input
-    order, so every pack is a contiguous run of graphs: Stage 4 uses it
-    to cut its sweeps as diagonal-block slices of one build-wide
-    adjacency.  Purely a performance plan: every pack layout yields
-    identical per-graph results.
-    """
-    sizes_array = np.asarray(list(sizes), dtype=np.int64)
-    if sizes_array.size == 0:
-        return []
-    if size_sort:
-        order = np.argsort(-sizes_array, kind="stable")
-    else:
-        order = np.arange(sizes_array.size, dtype=np.int64)
-    chunks = _chunk_by_nodes(
-        sizes_array[order].tolist(), max_batch_nodes
-    )
-    return [order[start:end] for start, end in chunks]
 
 
 def centrality_matrix_block_diagonal(
@@ -211,21 +89,19 @@ def centrality_matrix_block_diagonal(
 ) -> np.ndarray:
     """All four centralities of a block-diagonal adjacency, per-graph.
 
-    ``matrix`` is the packed ``(N, N)`` CSR from
-    :func:`pack_block_diagonal`; ``offsets`` (``int64``, length
-    ``num_graphs + 1``) delimits the diagonal blocks.  Returns the
+    ``matrix`` is the packed ``(N, N)`` CSR; ``offsets`` (``int64``,
+    length ``num_graphs + 1``) delimits the diagonal blocks.  Returns the
     ``(N, 4)`` float64 matrix whose rows ``offsets[g]:offsets[g + 1]``
     equal ``centrality_matrix_csr(block_g)`` — column order degree,
     closeness, betweenness, PageRank (Eq. 8–11), every normalisation
     taken against the owning graph's own node count.
 
-    This single function *is* the batched Stage-4 sweep; callers that
-    want the per-graph matrices scattered back should use
-    :func:`batched_centrality_matrices` (which also bounds scratch
-    memory by chunking).  ``transpose`` is ``matrixᵀ`` in canonical
-    CSR; it defaults to ``matrix.transpose().tocsr()``.  Stage 4 passes
-    its symmetric pack as its own transpose, which equals that
-    conversion array for array.
+    This single function *is* the batched Stage-4 sweep; its scratch
+    grows with ``N``, so callers bound the pack size (Stage 4 sweeps
+    runs of :data:`DEFAULT_MAX_BATCH_NODES` nodes).  ``transpose`` is
+    ``matrixᵀ`` in canonical CSR; it defaults to
+    ``matrix.transpose().tocsr()``.  Stage 4 passes its symmetric pack
+    as its own transpose, which equals that conversion array for array.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     n_total = matrix.shape[0]
@@ -304,35 +180,3 @@ def centrality_matrix_block_diagonal(
 
     pagerank = pagerank_exact(transpose, out_degree, offsets)
     return np.column_stack([degree, closeness, betweenness, pagerank])
-
-
-def batched_centrality_matrices(
-    matrices: Sequence[sp.csr_matrix],
-    max_batch_nodes: Optional[int] = DEFAULT_MAX_BATCH_NODES,
-    size_sort: bool = True,
-) -> List[np.ndarray]:
-    """Per-graph ``(n_g, 4)`` centrality matrices via block-diagonal packs.
-
-    The batched equivalent of calling
-    :func:`~repro.graphs.centrality.centrality_matrix_csr` on each
-    adjacency: graphs are packed into block-diagonal chunks of at most
-    ``max_batch_nodes`` total nodes (``None`` packs everything into
-    one; packing is size-sorted skew-aware by default — see
-    :func:`plan_packs`), each chunk runs one
-    :func:`centrality_matrix_block_diagonal` sweep, and the results are
-    scattered back in input order.  Each returned matrix owns its
-    memory (no views into the pack), is float64, and column order is
-    degree, closeness, betweenness, PageRank.  A ``0 × 0`` adjacency
-    yields a ``(0, 4)`` matrix.
-    """
-    sizes = [int(matrix.shape[0]) for matrix in matrices]
-    results: List[np.ndarray] = [None] * len(sizes)  # type: ignore[list-item]
-    for pack in plan_packs(sizes, max_batch_nodes, size_sort=size_sort):
-        packed, offsets = pack_block_diagonal(
-            [matrices[i] for i in pack]
-        )
-        stacked = centrality_matrix_block_diagonal(packed, offsets)
-        for local, graph_index in enumerate(pack):
-            lo, hi = int(offsets[local]), int(offsets[local + 1])
-            results[int(graph_index)] = stacked[lo:hi].copy()
-    return results

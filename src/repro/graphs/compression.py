@@ -40,24 +40,21 @@ range — so each numpy call is paid once per build, not once per graph:
 
 Each graph of a pack comes out bit-identical to the same graph
 compressed alone.  The per-graph public functions are one-graph packs
-of the same kernels; no-op passes return the input graph itself.
-
-:class:`~repro.graphs.model.AddressGraph` inputs are accepted for
-compatibility (reference oracles, examples): they are converted to
-arrays, compressed, and converted back — element-for-element identical
-to the historic object-set machinery (asserted against
-:mod:`repro.graphs.reference` in the test suite).
+of the same kernels; no-op passes return the input graph itself.  On
+converted object-model graphs they are element-for-element identical
+to the historic object-set machinery of :mod:`repro.graphs.reference`
+(asserted in the test suite).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.graphs.arrays import KIND_CODES, ArrayGraph, GraphPack, _segment_ranges
-from repro.graphs.model import AddressGraph, NodeKind
+from repro.graphs.model import NodeKind
 
 __all__ = [
     "compress_single_transaction_addresses",
@@ -72,25 +69,16 @@ _TRANSACTION_CODE = KIND_CODES[NodeKind.TRANSACTION]
 _SINGLE_HYPER_CODE = KIND_CODES[NodeKind.SINGLE_HYPER]
 _MULTI_HYPER_CODE = KIND_CODES[NodeKind.MULTI_HYPER]
 
-AnyGraph = Union[AddressGraph, ArrayGraph]
 
-
-def _one_graph_pass(graph: AnyGraph, compress) -> AnyGraph:
-    """Run a pack pass over a one-graph pack of either graph flavour.
+def _one_graph_pass(graph: ArrayGraph, compress) -> ArrayGraph:
+    """Run a pack pass over a one-graph pack.
 
     A pass that merges nothing returns its input pack, and then the
     input graph itself comes back.
     """
-    if isinstance(graph, ArrayGraph):
-        arrays, was_object = graph, False
-    else:
-        arrays, was_object = ArrayGraph.from_address_graph(graph), True
-    pack = GraphPack.of([arrays])
+    pack = GraphPack.of([graph])
     out = compress(pack)
-    if out is pack:
-        return graph
-    compressed = out.graphs()[0]
-    return compressed.to_address_graph() if was_object else compressed
+    return graph if out is pack else out.graphs()[0]
 
 
 def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -320,7 +308,7 @@ def compress_single_transaction_pack(pack: GraphPack) -> GraphPack:
     )
 
 
-def compress_single_transaction_addresses(graph: AnyGraph) -> AnyGraph:
+def compress_single_transaction_addresses(graph: ArrayGraph) -> ArrayGraph:
     """Merge degree-1 address nodes per transaction and side (Fig. 3).
 
     After this pass a transaction node links to at most one
@@ -328,9 +316,8 @@ def compress_single_transaction_addresses(graph: AnyGraph) -> AnyGraph:
     side (plus any remaining multi-transaction or centre address nodes).
     Address nodes appearing on *both* sides of their single transaction
     (self-change) are left unmerged — they carry a distinct signature.
-    A one-graph :func:`compress_single_transaction_pack`.  Accepts (and
-    returns) either graph flavour; no-op passes return the input graph
-    itself.
+    A one-graph :func:`compress_single_transaction_pack`; a no-op pass
+    returns the input graph itself.
     """
     return _one_graph_pass(graph, compress_single_transaction_pack)
 
@@ -406,7 +393,7 @@ def _shared_counts(
 
 
 def similarity_matrices(
-    graph: AnyGraph,
+    graph: ArrayGraph,
 ) -> Tuple[List[int], List[int], np.ndarray, np.ndarray]:
     """The incidence and similarity matrices of Eq. (3)–(4).
 
@@ -417,8 +404,6 @@ def similarity_matrices(
     s_jj`` — the fraction of j's transactions shared with i, exactly the
     paper's worked example ``m31 = s31 / s11 = 0.7``).
     """
-    if not isinstance(graph, ArrayGraph):
-        graph = ArrayGraph.from_address_graph(graph)
     pack = GraphPack.of([graph])
     is_row, multi_ids, lo, hi = _multi_rows(pack)
     tx_ids, rows, cols, counts, _ = _shared_counts(
@@ -504,23 +489,18 @@ def compress_multi_transaction_pack(
 
 
 def compress_multi_transaction_addresses(
-    graph: AnyGraph,
+    graph: ArrayGraph,
     psi: float = 0.6,
     sigma: int = 2,
-) -> AnyGraph:
+) -> ArrayGraph:
     """Merge co-occurring multi-transaction address nodes (Eq. 3–7).
 
     ``Q = ReLU(M − Ψ)`` thresholds the similarity; a node whose row has
     more than ``sigma`` non-zeros is merged with its similar set.  Groups
     are formed greedily from the densest rows; each node joins at most
-    one hyper node.  A one-graph :func:`compress_multi_transaction_pack`.
-    Accepts (and returns) either graph flavour; no-op passes return the
-    input graph itself.
+    one hyper node.  A one-graph :func:`compress_multi_transaction_pack`;
+    a no-op pass returns the input graph itself.
     """
-    if not 0.0 < psi <= 1.0:
-        raise ValidationError(f"psi must be in (0, 1], got {psi}")
-    if sigma < 1:
-        raise ValidationError(f"sigma must be >= 1, got {sigma}")
     return _one_graph_pass(
         graph, lambda pack: compress_multi_transaction_pack(pack, psi, sigma)
     )

@@ -6,16 +6,16 @@ heterogeneous graph.  The final partial slice is retained, matching the
 paper ("the final graph with less than 100 transactions will be
 retained").
 
-Two builders produce the same graph: :func:`build_original_graph`
-constructs the object model (:class:`~repro.graphs.model.AddressGraph`)
-and :func:`build_original_pack` constructs the columnar graphs of many
-slices at once, in one :class:`~repro.graphs.arrays.GraphPack` — node
-ids assigned in the identical first-seen order within each slice, edges
-in the identical transaction order, value bags of the whole pack
-assembled in one vectorized pass instead of per-edge list appends.
-:func:`build_original_arrays` is its one-slice form.  The pipeline uses
-the pack builder; the object builder remains the readable reference
-(and the substrate of the parity oracle tests).
+Two column sources feed one layout.  :func:`build_original_pack`
+builds the graphs of many slices at once, from ``Transaction`` objects,
+into one :class:`~repro.graphs.arrays.GraphPack`: node ids are
+first-seen ranks within each slice, edges keep transaction order, and
+the value bags of the whole pack are assembled in one vectorized pass
+instead of per-edge list appends.  :func:`build_arrays_from_columns`
+builds one slice from pre-fetched integer columns, the path of
+store-backed indexes.  Both match the readable object builder
+:func:`repro.graphs.reference.build_original_graph`, which the tests
+hold them to.
 """
 
 from __future__ import annotations
@@ -28,17 +28,12 @@ from repro.chain.explorer import ChainIndex
 from repro.chain.transaction import Transaction
 from repro.errors import GraphConstructionError, ValidationError
 from repro.graphs.arrays import KIND_CODES, ArrayGraph, GraphPack, _segment_ranges
-from repro.graphs.model import AddressGraph, NodeKind
+from repro.graphs.model import NodeKind
 
 __all__ = [
     "slice_transactions",
-    "build_original_graph",
-    "build_original_arrays",
     "build_original_pack",
-    "build_arrays_from_index",
     "build_arrays_from_columns",
-    "extract_graphs",
-    "extract_array_graphs",
 ]
 
 _ADDRESS_CODE = KIND_CODES[NodeKind.ADDRESS]
@@ -55,8 +50,8 @@ def _bags_from_edges(
 
     Each edge contributes its value to both endpoint bags in edge order —
     interleaving (src0, dst0, src1, dst1, ...) and stable-sorting by
-    endpoint reproduces the per-edge append order of the object builder
-    in one vectorized pass.
+    endpoint reproduces the per-edge append order of the reference
+    object builder in one vectorized pass.
     """
     num_edges = edge_src.shape[0]
     endpoints = np.empty(2 * num_edges, dtype=np.int64)
@@ -82,55 +77,6 @@ def slice_transactions(
     ]
 
 
-def build_original_graph(
-    center_address: str,
-    transactions: Sequence[Transaction],
-    slice_index: int = 0,
-) -> AddressGraph:
-    """The uncompressed heterogeneous graph of one transaction slice.
-
-    Every transaction becomes a transaction node; every involved address
-    becomes an address node.  Input-side edges run address → tx with the
-    input value; output-side edges run tx → address with the output value.
-    Multiple inputs/outputs between the same pair accumulate into the
-    node value bags (each edge is kept individually).
-    """
-    if not transactions:
-        raise GraphConstructionError(
-            f"cannot build a graph for {center_address[:12]} from zero transactions"
-        )
-    times = [tx.timestamp for tx in transactions]
-    graph = AddressGraph(
-        center_address=center_address,
-        slice_index=slice_index,
-        time_range=(min(times), max(times)),
-    )
-    for tx in transactions:
-        tx_node = graph.add_node(NodeKind.TRANSACTION, tx.txid)
-        for inp in tx.inputs:
-            addr_node = graph.add_node(NodeKind.ADDRESS, inp.address)
-            graph.add_edge(addr_node, tx_node, inp.value)
-        for out in tx.outputs:
-            addr_node = graph.add_node(NodeKind.ADDRESS, out.address)
-            graph.add_edge(tx_node, addr_node, out.value)
-    return graph
-
-
-def build_original_arrays(
-    center_address: str,
-    transactions: Sequence[Transaction],
-    slice_index: int = 0,
-) -> ArrayGraph:
-    """The uncompressed slice graph of :func:`build_original_graph`, columnar.
-
-    A one-slice :func:`build_original_pack`: same first-seen node ids,
-    same edge order as the object builder.
-    """
-    return build_original_pack(
-        [center_address], [transactions], [slice_index]
-    ).graphs()[0]
-
-
 def build_original_pack(
     center_addresses: Sequence[str],
     slices: Sequence[Sequence[Transaction]],
@@ -139,7 +85,12 @@ def build_original_pack(
     """Uncompressed slice graphs of many slices, in one :class:`GraphPack`.
 
     Slice ``k`` is the graph of ``center_addresses[k]`` over
-    ``slices[k]``, exactly as :func:`build_original_graph` builds it:
+    ``slices[k]``, exactly as
+    :func:`repro.graphs.reference.build_original_graph` builds it.
+    Every transaction becomes a transaction node and every involved
+    address an address node; input-side edges run address → tx with
+    the input value, output-side edges tx → address with the output
+    value, and each input/output is kept as its own edge.
     node ids are first-seen ranks within the slice (offset by the
     slice's place in the pack), edges keep transaction order.  One
     Python pass over every slice's transactions appends to shared
@@ -241,41 +192,6 @@ def build_original_pack(
     )
 
 
-def build_arrays_from_index(
-    index: ChainIndex,
-    center_address: str,
-    transactions: Sequence[Transaction],
-    slice_index: int = 0,
-) -> ArrayGraph:
-    """Columnar Stage-1 build straight from :class:`ChainIndex` columns.
-
-    Per-transaction participant/value columns come from
-    :meth:`ChainIndex.transaction_arrays` (interned integer node keys,
-    memoised per txid and shared across every address graph that
-    includes the transaction), first-seen node ids fall out of one
-    ``np.unique`` over the interleaved encounter sequence, and the edge
-    columns are scattered into transaction order with array kernels —
-    no per-edge Python at all.  Output is element-identical to
-    :func:`build_original_arrays` / :func:`build_original_graph`.
-
-    Measured on paper-scale slices (≤100 transactions) the dict-based
-    builder (:func:`build_original_pack`) still wins — numpy fixed
-    overhead dominates at that size — so the pipeline uses it; this
-    builder pulls
-    ahead only for very large slices (hundreds of transactions) where
-    the memoised columns amortise, and is kept as the chain-scale
-    columnar path (BABD-scale corpora, sharded indices).
-    """
-    if not transactions:
-        raise GraphConstructionError(
-            f"cannot build a graph for {center_address[:12]} from zero transactions"
-        )
-    columns = [index.transaction_arrays(tx) for tx in transactions]
-    return build_arrays_from_columns(
-        index, center_address, columns, slice_index=slice_index
-    )
-
-
 def build_arrays_from_columns(
     index: ChainIndex,
     center_address: str,
@@ -284,14 +200,17 @@ def build_arrays_from_columns(
 ) -> ArrayGraph:
     """Columnar Stage-1 build from pre-fetched :class:`TxArrays` columns.
 
-    The assembly core of :func:`build_arrays_from_index`, factored so
-    column *sources* are pluggable: the in-memory index's memoised
-    ``transaction_arrays`` and the chain store's mapped segment views
+    The Stage-1 path of store-backed indexes: the chain store's mapped
+    segment views
     (:meth:`~repro.chain.store.StoreBackedChainIndex.transaction_columns_of`)
-    both feed it.  ``index`` supplies only name decoding
+    feed it without materialising transaction objects; per-transaction
+    participant/value columns (interned integer node keys) are
+    scattered into transaction order with array kernels, first-seen
+    node ids falling out of one ``np.unique`` over the interleaved
+    encounter sequence.  ``index`` supplies only name decoding
     (:meth:`~repro.chain.explorer.ChainIndex.node_names`) and the center
-    key lookup; the output is element-identical to
-    :func:`build_original_arrays` regardless of the key numbering the
+    key lookup; the output is element-identical to the same slice in
+    :func:`build_original_pack` regardless of the key numbering the
     source interned, because node ids are first-encounter ranks and
     references are decoded strings.
     """
@@ -397,34 +316,3 @@ def build_arrays_from_columns(
         edge_times=np.repeat(stamps, edge_counts),
         center_id=center_id,
     )
-
-
-def extract_graphs(
-    index: ChainIndex, address: str, slice_size: int = 100
-) -> List[AddressGraph]:
-    """Stage 1 for one address: fetch, slice, and build original graphs."""
-    transactions = index.transactions_of(address)
-    if not transactions:
-        raise GraphConstructionError(
-            f"address {address[:12]} has no transactions on chain"
-        )
-    slices = slice_transactions(transactions, slice_size)
-    return [
-        build_original_graph(address, chunk, slice_index=i)
-        for i, chunk in enumerate(slices)
-    ]
-
-
-def extract_array_graphs(
-    index: ChainIndex, address: str, slice_size: int = 100
-) -> List[ArrayGraph]:
-    """Stage 1 for one address on the columnar substrate."""
-    transactions = index.transactions_of(address)
-    if not transactions:
-        raise GraphConstructionError(
-            f"address {address[:12]} has no transactions on chain"
-        )
-    slices = slice_transactions(transactions, slice_size)
-    return build_original_pack(
-        [address] * len(slices), slices, range(len(slices))
-    ).graphs()

@@ -20,7 +20,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.errors import GraphConstructionError
-from repro.graphs.model import NODE_FEATURE_DIM, AddressGraph
+from repro.graphs.model import NODE_FEATURE_DIM
 
 __all__ = ["FLAT_FEATURE_DIM", "flatten_graph", "flatten_graphs", "flatten_dataset"]
 
@@ -32,9 +32,7 @@ def flatten_graph(graph, raw: bool = False) -> np.ndarray:
 
     ``raw=True`` keeps satoshi-magnitude SFE statistics (the paper's
     Table II protocol); the default applies signed-log compression.
-    Accepts either graph flavour (object model or
-    :class:`~repro.graphs.arrays.ArrayGraph`) — neighbour sets come from
-    the shared ``edge_arrays()`` columns.
+    Neighbour sets come from the graph's ``edge_arrays()`` columns.
     """
     center = graph.center_node_id()
     if center is None:

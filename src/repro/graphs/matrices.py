@@ -71,8 +71,8 @@ def normalized_adjacency_from_matrix(adjacency: sp.spmatrix) -> sp.csr_matrix:
 
 
 def normalized_adjacency(graph) -> sp.csr_matrix:
-    """The renormalised adjacency of one address graph (either flavour:
-    :class:`AddressGraph` or :class:`~repro.graphs.arrays.ArrayGraph`).
+    """The renormalised adjacency of one
+    :class:`~repro.graphs.arrays.ArrayGraph`.
 
     Test oracle for the packed encoder; production encodes through
     :func:`repro.gnn.data.encode_pack`.

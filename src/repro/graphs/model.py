@@ -1,4 +1,4 @@
-"""The heterogeneous address-transaction graph (paper §III-A).
+"""The heterogeneous address-transaction graph (paper §III-A): shared constants.
 
 A graph ``G = (V, E)`` has two base node kinds — *address* nodes and
 *transaction* nodes — plus the two hyper-node kinds produced by
@@ -8,25 +8,21 @@ was on the input side (address → tx) or the output side (tx → address).
 
 Node features are carried as raw *value bags* until the final feature
 assembly so that compression can merge nodes by concatenating bags and
-re-running SFE — exactly Eq. (1)/(2)/(7) of the paper.
+re-running SFE — exactly Eq. (1)/(2)/(7) of the paper.  The graphs
+themselves are :class:`~repro.graphs.arrays.ArrayGraph` columns (one
+graph) and :class:`~repro.graphs.arrays.GraphPack` columns (a build);
+this module holds the node-kind and feature-layout constants they
+share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Sequence
 
-import numpy as np
-import scipy.sparse as sp
-
-from repro.errors import GraphConstructionError
-from repro.features.sfe import SFE_DIM, sfe_matrix, sfe_vector, signed_log1p
+from repro.features.sfe import SFE_DIM
 
 __all__ = [
     "NodeKind",
-    "GraphNode",
-    "GraphEdge",
-    "AddressGraph",
     "NODE_KIND_ORDER",
     "NODE_FEATURE_DIM",
 ]
@@ -52,250 +48,3 @@ NODE_KIND_ORDER: Sequence[str] = (
 # + is-center flag(1).
 _CENTRALITY_DIMS = 4
 NODE_FEATURE_DIM = SFE_DIM + _CENTRALITY_DIMS + len(NODE_KIND_ORDER) + 1
-
-
-@dataclass
-class GraphNode:
-    """A node: its kind, what it refers to, and its bag of edge values.
-
-    ``merged_count`` records how many original nodes a hyper node absorbed
-    (1 for unmerged nodes).
-    """
-
-    node_id: int
-    kind: str
-    ref: str
-    values: List[float] = field(default_factory=list)
-    merged_count: int = 1
-    centrality: Optional[np.ndarray] = None
-
-    def feature_vector(self, is_center: bool, raw: bool = False) -> np.ndarray:
-        """Assemble the final fixed-width feature vector for this node.
-
-        ``raw=True`` keeps the SFE statistics at satoshi magnitude (no
-        signed-log compression) — the paper's Table II protocol for
-        classical models, where raw scales sink scale-sensitive learners.
-        """
-        stats = sfe_vector(self.values)
-        if not raw:
-            stats = signed_log1p(stats)
-        centrality = (
-            self.centrality
-            if self.centrality is not None
-            else np.zeros(_CENTRALITY_DIMS, dtype=np.float64)
-        )
-        kind_onehot = np.zeros(len(NODE_KIND_ORDER), dtype=np.float64)
-        kind_onehot[NODE_KIND_ORDER.index(self.kind)] = 1.0
-        return np.concatenate(
-            [stats, centrality, kind_onehot, [1.0 if is_center else 0.0]]
-        )
-
-
-@dataclass(frozen=True)
-class GraphEdge:
-    """A directed edge carrying the transferred amount in satoshis.
-
-    ``src``/``dst`` are node ids; input-side edges run address → tx,
-    output-side edges run tx → address.
-    """
-
-    src: int
-    dst: int
-    value: float
-
-
-class AddressGraph:
-    """One transaction-slice graph of a bitcoin address.
-
-    Parameters
-    ----------
-    center_address:
-        The address whose behaviour this graph describes.
-    slice_index:
-        Which chronological 100-transaction slice this graph covers.
-    time_range:
-        ``(first_timestamp, last_timestamp)`` of the slice.
-    """
-
-    def __init__(
-        self,
-        center_address: str,
-        slice_index: int = 0,
-        time_range: Tuple[float, float] = (0.0, 0.0),
-    ):
-        self.center_address = center_address
-        self.slice_index = slice_index
-        self.time_range = time_range
-        self.nodes: List[GraphNode] = []
-        self.edges: List[GraphEdge] = []
-        self._node_by_ref: Dict[Tuple[str, str], int] = {}
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-
-    def add_node(self, kind: str, ref: str) -> int:
-        """Add (or fetch) the node of ``kind`` referring to ``ref``."""
-        key = (kind, ref)
-        existing = self._node_by_ref.get(key)
-        if existing is not None:
-            return existing
-        node_id = len(self.nodes)
-        self.nodes.append(GraphNode(node_id=node_id, kind=kind, ref=ref))
-        self._node_by_ref[key] = node_id
-        return node_id
-
-    def find_node(self, kind: str, ref: str) -> Optional[int]:
-        """The node id of ``(kind, ref)`` or None."""
-        return self._node_by_ref.get((kind, ref))
-
-    def add_edge(self, src: int, dst: int, value: float) -> None:
-        """Add a directed edge and append the value to both value bags."""
-        if not (0 <= src < len(self.nodes) and 0 <= dst < len(self.nodes)):
-            raise GraphConstructionError(
-                f"edge ({src}, {dst}) references unknown nodes "
-                f"(graph has {len(self.nodes)})"
-            )
-        self.edges.append(GraphEdge(src=src, dst=dst, value=float(value)))
-        self.nodes[src].values.append(float(value))
-        self.nodes[dst].values.append(float(value))
-
-    def rebuild(
-        self, nodes: List[GraphNode], edges: List[GraphEdge]
-    ) -> "AddressGraph":
-        """A new graph with the same identity but replaced structure.
-
-        Used by compression passes; node ids are re-assigned densely in
-        list order and edges must refer to the new ids.
-        """
-        out = AddressGraph(
-            center_address=self.center_address,
-            slice_index=self.slice_index,
-            time_range=self.time_range,
-        )
-        for new_id, node in enumerate(nodes):
-            node.node_id = new_id
-            out.nodes.append(node)
-            out._node_by_ref[(node.kind, node.ref)] = new_id
-        out.edges = list(edges)
-        return out
-
-    # ------------------------------------------------------------------ #
-    # Conversion (columnar substrate)
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_arrays(cls, arrays) -> "AddressGraph":
-        """Object-model copy of an :class:`~repro.graphs.arrays.ArrayGraph`.
-
-        The thin compatibility bridge for consumers that want per-node
-        objects over pipeline output (reference kernels, notebooks);
-        see :meth:`ArrayGraph.to_address_graph`.
-        """
-        return arrays.to_address_graph()
-
-    def to_arrays(self):
-        """Columnar :class:`~repro.graphs.arrays.ArrayGraph` copy of this
-        graph; see :meth:`ArrayGraph.from_address_graph`."""
-        from repro.graphs.arrays import ArrayGraph
-
-        return ArrayGraph.from_address_graph(self)
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes."""
-        return len(self.nodes)
-
-    @property
-    def num_edges(self) -> int:
-        """Number of directed edges."""
-        return len(self.edges)
-
-    def nodes_of_kind(self, kind: str) -> List[GraphNode]:
-        """All nodes of the given kind."""
-        return [node for node in self.nodes if node.kind == kind]
-
-    def center_node_id(self) -> Optional[int]:
-        """Node id of the centre address (if present)."""
-        return self._node_by_ref.get((NodeKind.ADDRESS, self.center_address))
-
-    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(src, dst)`` ndarray columns of the directed edge list."""
-        count = self.num_edges
-        src = np.fromiter(
-            (e.src for e in self.edges), dtype=np.int64, count=count
-        )
-        dst = np.fromiter(
-            (e.dst for e in self.edges), dtype=np.int64, count=count
-        )
-        return src, dst
-
-    def adjacency_lists(self) -> List[List[int]]:
-        """Undirected adjacency lists (deduplicated neighbours)."""
-        neighbors: List[set] = [set() for _ in range(self.num_nodes)]
-        for edge in self.edges:
-            neighbors[edge.src].add(edge.dst)
-            neighbors[edge.dst].add(edge.src)
-        return [sorted(n) for n in neighbors]
-
-    def degrees(self) -> np.ndarray:
-        """Undirected degree (distinct neighbours) per node."""
-        return np.diff(self.adjacency_matrix().indptr).astype(np.float64)
-
-    def adjacency_matrix(self) -> sp.csr_matrix:
-        """Symmetric unweighted adjacency as a CSR sparse matrix."""
-        n = self.num_nodes
-        if not self.edges:
-            return sp.csr_matrix((n, n), dtype=np.float64)
-        src, dst = self.edge_arrays()
-        rows = np.concatenate([src, dst])
-        cols = np.concatenate([dst, src])
-        data = np.ones(rows.size, dtype=np.float64)
-        matrix = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-        matrix.data[:] = 1.0  # collapse parallel edges
-        return matrix
-
-    def feature_matrix(self, raw: bool = False) -> np.ndarray:
-        """Final node-feature matrix, shape ``(num_nodes, NODE_FEATURE_DIM)``.
-
-        One segmented SFE pass over all node value bags plus columnar
-        centrality/kind/centre assembly; see :meth:`GraphNode.feature_vector`
-        for the ``raw`` switch and the per-node layout.
-        """
-        n = self.num_nodes
-        if n == 0:
-            return np.zeros((0, NODE_FEATURE_DIM), dtype=np.float64)
-        stats = sfe_matrix([node.values for node in self.nodes])
-        if not raw:
-            stats = signed_log1p(stats)
-        centrality = np.zeros((n, _CENTRALITY_DIMS), dtype=np.float64)
-        for node in self.nodes:
-            if node.centrality is not None:
-                centrality[node.node_id] = node.centrality
-        kind_onehot = np.zeros((n, len(NODE_KIND_ORDER)), dtype=np.float64)
-        kind_index = np.fromiter(
-            (NODE_KIND_ORDER.index(node.kind) for node in self.nodes),
-            dtype=np.int64,
-            count=n,
-        )
-        kind_onehot[np.arange(n), kind_index] = 1.0
-        center_flag = np.zeros((n, 1), dtype=np.float64)
-        center = self.center_node_id()
-        if center is not None:
-            center_flag[center, 0] = 1.0
-        return np.hstack([stats, centrality, kind_onehot, center_flag])
-
-    def total_edge_value(self) -> float:
-        """Sum of transferred amounts over all edges (conservation checks)."""
-        return float(sum(edge.value for edge in self.edges))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"AddressGraph(center={self.center_address[:10]}…, "
-            f"slice={self.slice_index}, nodes={self.num_nodes}, "
-            f"edges={self.num_edges})"
-        )

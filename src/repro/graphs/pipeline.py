@@ -17,11 +17,10 @@ pack's symmetric block-diagonal adjacency once and attaches the
 stacked centralities as the pack's ``centrality`` column.
 :meth:`GraphConstructionPipeline.build_pack` returns the pack and that
 adjacency, which the encoder (:func:`repro.gnn.data.build_encoded`)
-reuses for Eq. 12–13; :meth:`~GraphConstructionPipeline.build_many_slices`
+reuses for Eq. 12–13; :meth:`~GraphConstructionPipeline.build_many`
 cuts the pack into per-graph :class:`~repro.graphs.arrays.ArrayGraph`
-views for callers that want graphs.  Every graph is bit-identical to a
-build of its slice alone.  Callers that want the object model convert
-with :meth:`~repro.graphs.model.AddressGraph.from_arrays`.
+views for the classical models, which flatten raw graphs.  Every graph
+is bit-identical to a build of its slice alone.
 """
 
 from __future__ import annotations
@@ -148,28 +147,6 @@ class GraphConstructionPipeline:
     def __init__(self, config: "GraphPipelineConfig | None" = None):
         self.config = config or GraphPipelineConfig()
         self.timer = StageTimer(observer=_observe_stage)
-
-    def build(self, index: ChainIndex, address: str) -> List[ArrayGraph]:
-        """All slice graphs of ``address``, fully compressed and augmented."""
-        return self.build_slices(index, address, None)
-
-    def build_slices(
-        self,
-        index: ChainIndex,
-        address: str,
-        slice_indices: Optional[Sequence[int]] = None,
-    ) -> List[ArrayGraph]:
-        """Slice graphs of ``address`` for the given slice indices only.
-
-        The incremental path of the serving layer: when new blocks touch
-        an address, only the slices at or after the previous partial
-        slice change, so the cache rebuilds just those.  ``None`` builds
-        every slice (equivalent to :meth:`build`).  Graphs are returned
-        in ascending slice order.
-        """
-        return self.build_many_slices(index, {address: slice_indices})[
-            address
-        ]
 
     def _extract(
         self,
@@ -306,14 +283,21 @@ class GraphConstructionPipeline:
     def build_many(
         self, index: ChainIndex, addresses: Sequence[str]
     ) -> Dict[str, List[ArrayGraph]]:
-        """Graphs for many addresses: ``{address: [slice graphs...]}``.
+        """Every slice graph of many addresses: ``{address: [graphs...]}``.
 
-        Delegates to :meth:`build_many_slices`, so Stage-4 centrality
-        batches across *every* address of the call, not per address.
+        :meth:`build_pack` over every slice of ``addresses``, cut into
+        per-graph :class:`ArrayGraph` views, slices ascending.
         """
-        return self.build_many_slices(
+        pack, _ = self.build_pack(
             index, {address: None for address in addresses}
         )
+        built: Dict[str, List[ArrayGraph]] = {
+            address: [] for address in addresses
+        }
+        if pack is not None:
+            for graph in pack.graphs():
+                built[graph.center_address].append(graph)
+        return built
 
     def build_pack(
         self,
@@ -323,7 +307,9 @@ class GraphConstructionPipeline:
         """Stages 1–4 over every requested slice, as one pack.
 
         ``requests`` maps each address to the slice indices wanted
-        (``None`` = every slice, like :meth:`build`).  Stage 1 builds
+        (``None`` = every slice).  Only the slices at or after a
+        previous partial slice change when new blocks touch an address,
+        so the serving layer rebuilds just those.  Stage 1 builds
         every slice graph of the call into one
         :class:`~repro.graphs.arrays.GraphPack`, Stages 2–3 compress it
         in one pass each, and Stage 4 attaches the stacked centralities
@@ -342,26 +328,6 @@ class GraphConstructionPipeline:
         if self.config.enable_augmentation:
             adjacency = self._augment(pack)
         return pack, adjacency
-
-    def build_many_slices(
-        self,
-        index: ChainIndex,
-        requests: "Dict[str, Optional[Sequence[int]]]",
-    ) -> Dict[str, List[ArrayGraph]]:
-        """Requested slice graphs of many addresses, each stage once.
-
-        :meth:`build_pack`, cut into per-graph :class:`ArrayGraph`
-        views: ``{address: [slice graphs...]}`` in request order.
-        Every graph is identical to a build of its slice alone.
-        """
-        pack, _ = self.build_pack(index, requests)
-        prepared: Dict[str, List[ArrayGraph]] = {
-            address: [] for address in requests
-        }
-        if pack is not None:
-            for graph in pack.graphs():
-                prepared[graph.center_address].append(graph)
-        return prepared
 
     def stage_report(self) -> List[Dict[str, float]]:
         """Per-stage rows: name, total seconds, share, mean, entry count.

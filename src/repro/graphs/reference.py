@@ -1,36 +1,60 @@
-"""Reference (pre-vectorization) graph-construction kernels.
+"""Reference graph construction: the object model and the parity oracles.
 
-These are the original pure-Python implementations of the centrality
-measures (Eq. 8–11), the two compression passes (Eq. 1–7), and the Lee
-et al. 80-feature extractor, kept verbatim from before the CSR/ndarray
-rewrite of :mod:`repro.graphs.centrality`,
-:mod:`repro.graphs.compression` and
-:mod:`repro.features.address_features`.
+Production builds every graph as columns
+(:class:`~repro.graphs.arrays.ArrayGraph`, packed per build into a
+:class:`~repro.graphs.arrays.GraphPack`).  This module keeps the
+readable per-node/per-edge formulation the columnar code is held to:
 
-They serve two purposes:
+- **The object model** — :class:`AddressGraph` holding one
+  :class:`GraphNode` / :class:`GraphEdge` per node/edge, the object
+  Stage-1 builder :func:`build_original_graph`, and the conversions
+  :func:`to_array_graph` / :func:`to_address_graph`.  The conversions
+  round-trip exactly on every structural column (kinds, refs, merge
+  counts, value bags, edges, centrality); only ``edge_times`` is lost,
+  because the object model has no edge-timestamp field (it reads back
+  as 0.0).
+- **Parity oracles** — the original pure-Python implementations of the
+  centrality measures (Eq. 8–11), the two compression passes (Eq.
+  1–7), and the Lee et al. 80-feature extractor, kept verbatim from
+  before the CSR/ndarray rewrite of :mod:`repro.graphs.centrality`,
+  :mod:`repro.graphs.compression` and
+  :mod:`repro.features.address_features`.
+  ``tests/test_vectorized_parity.py`` asserts the vectorized kernels
+  reproduce them to 1e-9 on randomized graphs, and
+  ``benchmarks/bench_pipeline_throughput.py`` measures the vectorized
+  kernels' speedup against them.
 
-- **Parity oracles** — ``tests/test_vectorized_parity.py`` asserts the
-  vectorized kernels reproduce these to 1e-9 on randomized graphs.
-- **Benchmark baselines** — ``benchmarks/bench_pipeline_throughput.py``
-  measures the vectorized kernels' speedup against them, the repo's
-  tracked Stage-4 perf trajectory.
-
-They are deliberately *not* exported from :mod:`repro.graphs`; nothing
-in the production pipeline should call them.
+None of it is exported from :mod:`repro.graphs`; nothing in the
+production pipeline imports this module.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from repro.errors import ValidationError
-from repro.features.sfe import SFE_DIM, sfe_vector, signed_log1p
-from repro.graphs.model import AddressGraph, GraphEdge, GraphNode, NodeKind
+from repro.chain.transaction import Transaction
+from repro.errors import GraphConstructionError, ValidationError
+from repro.features.sfe import sfe_matrix, sfe_vector, signed_log1p
+from repro.graphs.arrays import KIND_CODES, ArrayGraph
+from repro.graphs.model import (
+    _CENTRALITY_DIMS,
+    NODE_FEATURE_DIM,
+    NODE_KIND_ORDER,
+    NodeKind,
+)
 
 __all__ = [
+    "AddressGraph",
+    "GraphEdge",
+    "GraphNode",
+    "build_original_graph",
+    "to_address_graph",
+    "to_array_graph",
     "reference_degree_centrality",
     "reference_closeness_centrality",
     "reference_betweenness_centrality",
@@ -41,6 +65,339 @@ __all__ = [
     "reference_similarity_matrices",
     "reference_extract_address_features",
 ]
+
+
+# --------------------------------------------------------------------- #
+# Object model
+# --------------------------------------------------------------------- #
+
+
+@dataclass
+class GraphNode:
+    """A node: its kind, what it refers to, and its bag of edge values.
+
+    ``merged_count`` records how many original nodes a hyper node absorbed
+    (1 for unmerged nodes).
+    """
+
+    node_id: int
+    kind: str
+    ref: str
+    values: List[float] = field(default_factory=list)
+    merged_count: int = 1
+    centrality: Optional[np.ndarray] = None
+
+    def feature_vector(self, is_center: bool, raw: bool = False) -> np.ndarray:
+        """Assemble the final fixed-width feature vector for this node.
+
+        ``raw=True`` keeps the SFE statistics at satoshi magnitude (no
+        signed-log compression) — the paper's Table II protocol for
+        classical models, where raw scales sink scale-sensitive learners.
+        """
+        stats = sfe_vector(self.values)
+        if not raw:
+            stats = signed_log1p(stats)
+        centrality = (
+            self.centrality
+            if self.centrality is not None
+            else np.zeros(_CENTRALITY_DIMS, dtype=np.float64)
+        )
+        kind_onehot = np.zeros(len(NODE_KIND_ORDER), dtype=np.float64)
+        kind_onehot[NODE_KIND_ORDER.index(self.kind)] = 1.0
+        return np.concatenate(
+            [stats, centrality, kind_onehot, [1.0 if is_center else 0.0]]
+        )
+
+
+@dataclass(frozen=True)
+class GraphEdge:
+    """A directed edge carrying the transferred amount in satoshis.
+
+    ``src``/``dst`` are node ids; input-side edges run address → tx,
+    output-side edges run tx → address.
+    """
+
+    src: int
+    dst: int
+    value: float
+
+
+class AddressGraph:
+    """One transaction-slice graph of a bitcoin address, as objects.
+
+    Parameters
+    ----------
+    center_address:
+        The address whose behaviour this graph describes.
+    slice_index:
+        Which chronological slice this graph covers.
+    time_range:
+        ``(first_timestamp, last_timestamp)`` of the slice.
+    """
+
+    def __init__(
+        self,
+        center_address: str,
+        slice_index: int = 0,
+        time_range: Tuple[float, float] = (0.0, 0.0),
+    ):
+        self.center_address = center_address
+        self.slice_index = slice_index
+        self.time_range = time_range
+        self.nodes: List[GraphNode] = []
+        self.edges: List[GraphEdge] = []
+        self._node_by_ref: Dict[Tuple[str, str], int] = {}
+
+    def add_node(self, kind: str, ref: str) -> int:
+        """Add (or fetch) the node of ``kind`` referring to ``ref``."""
+        key = (kind, ref)
+        existing = self._node_by_ref.get(key)
+        if existing is not None:
+            return existing
+        node_id = len(self.nodes)
+        self.nodes.append(GraphNode(node_id=node_id, kind=kind, ref=ref))
+        self._node_by_ref[key] = node_id
+        return node_id
+
+    def find_node(self, kind: str, ref: str) -> Optional[int]:
+        """The node id of ``(kind, ref)`` or None."""
+        return self._node_by_ref.get((kind, ref))
+
+    def add_edge(self, src: int, dst: int, value: float) -> None:
+        """Add a directed edge and append the value to both value bags."""
+        if not (0 <= src < len(self.nodes) and 0 <= dst < len(self.nodes)):
+            raise GraphConstructionError(
+                f"edge ({src}, {dst}) references unknown nodes "
+                f"(graph has {len(self.nodes)})"
+            )
+        self.edges.append(GraphEdge(src=src, dst=dst, value=float(value)))
+        self.nodes[src].values.append(float(value))
+        self.nodes[dst].values.append(float(value))
+
+    def rebuild(
+        self, nodes: List[GraphNode], edges: List[GraphEdge]
+    ) -> "AddressGraph":
+        """A new graph with the same identity but replaced structure.
+
+        Used by the compression oracles; node ids are re-assigned
+        densely in list order and edges must refer to the new ids.
+        """
+        out = AddressGraph(
+            center_address=self.center_address,
+            slice_index=self.slice_index,
+            time_range=self.time_range,
+        )
+        for new_id, node in enumerate(nodes):
+            node.node_id = new_id
+            out.nodes.append(node)
+            out._node_by_ref[(node.kind, node.ref)] = new_id
+        out.edges = list(edges)
+        return out
+
+    @property
+    def num_nodes(self) -> int:
+        """Number of nodes."""
+        return len(self.nodes)
+
+    @property
+    def num_edges(self) -> int:
+        """Number of directed edges."""
+        return len(self.edges)
+
+    def nodes_of_kind(self, kind: str) -> List[GraphNode]:
+        """All nodes of the given kind."""
+        return [node for node in self.nodes if node.kind == kind]
+
+    def center_node_id(self) -> Optional[int]:
+        """Node id of the centre address (if present)."""
+        return self._node_by_ref.get((NodeKind.ADDRESS, self.center_address))
+
+    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)`` ndarray columns of the directed edge list."""
+        count = self.num_edges
+        src = np.fromiter(
+            (e.src for e in self.edges), dtype=np.int64, count=count
+        )
+        dst = np.fromiter(
+            (e.dst for e in self.edges), dtype=np.int64, count=count
+        )
+        return src, dst
+
+    def adjacency_lists(self) -> List[List[int]]:
+        """Undirected adjacency lists (deduplicated neighbours)."""
+        neighbors: List[set] = [set() for _ in range(self.num_nodes)]
+        for edge in self.edges:
+            neighbors[edge.src].add(edge.dst)
+            neighbors[edge.dst].add(edge.src)
+        return [sorted(n) for n in neighbors]
+
+    def adjacency_matrix(self) -> sp.csr_matrix:
+        """Symmetric unweighted adjacency as a CSR sparse matrix."""
+        n = self.num_nodes
+        if not self.edges:
+            return sp.csr_matrix((n, n), dtype=np.float64)
+        src, dst = self.edge_arrays()
+        rows = np.concatenate([src, dst])
+        cols = np.concatenate([dst, src])
+        data = np.ones(rows.size, dtype=np.float64)
+        matrix = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        matrix.data[:] = 1.0  # collapse parallel edges
+        return matrix
+
+    def feature_matrix(self, raw: bool = False) -> np.ndarray:
+        """Final node-feature matrix, shape ``(num_nodes, NODE_FEATURE_DIM)``:
+        per node ``[SFE(bag), centrality, kind one-hot, is-centre]``.
+
+        ``raw=True`` keeps the SFE statistics at satoshi magnitude (no
+        signed-log compression).
+        """
+        n = self.num_nodes
+        if n == 0:
+            return np.zeros((0, NODE_FEATURE_DIM), dtype=np.float64)
+        stats = sfe_matrix([node.values for node in self.nodes])
+        if not raw:
+            stats = signed_log1p(stats)
+        centrality = np.zeros((n, _CENTRALITY_DIMS), dtype=np.float64)
+        for node in self.nodes:
+            if node.centrality is not None:
+                centrality[node.node_id] = node.centrality
+        kind_onehot = np.zeros((n, len(NODE_KIND_ORDER)), dtype=np.float64)
+        kind_index = np.fromiter(
+            (NODE_KIND_ORDER.index(node.kind) for node in self.nodes),
+            dtype=np.int64,
+            count=n,
+        )
+        kind_onehot[np.arange(n), kind_index] = 1.0
+        center_flag = np.zeros((n, 1), dtype=np.float64)
+        center = self.center_node_id()
+        if center is not None:
+            center_flag[center, 0] = 1.0
+        return np.hstack([stats, centrality, kind_onehot, center_flag])
+
+    def total_edge_value(self) -> float:
+        """Sum of transferred amounts over all edges (conservation checks)."""
+        return float(sum(edge.value for edge in self.edges))
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"AddressGraph(center={self.center_address[:10]}…, "
+            f"slice={self.slice_index}, nodes={self.num_nodes}, "
+            f"edges={self.num_edges})"
+        )
+
+
+def build_original_graph(
+    center_address: str,
+    transactions: Sequence[Transaction],
+    slice_index: int = 0,
+) -> AddressGraph:
+    """The uncompressed heterogeneous graph of one transaction slice.
+
+    Every transaction becomes a transaction node; every involved address
+    becomes an address node.  Input-side edges run address → tx with the
+    input value; output-side edges run tx → address with the output value.
+    Multiple inputs/outputs between the same pair accumulate into the
+    node value bags (each edge is kept individually).  The oracle of
+    :func:`repro.graphs.extraction.build_original_pack`.
+    """
+    if not transactions:
+        raise GraphConstructionError(
+            f"cannot build a graph for {center_address[:12]} from zero transactions"
+        )
+    times = [tx.timestamp for tx in transactions]
+    graph = AddressGraph(
+        center_address=center_address,
+        slice_index=slice_index,
+        time_range=(min(times), max(times)),
+    )
+    for tx in transactions:
+        tx_node = graph.add_node(NodeKind.TRANSACTION, tx.txid)
+        for inp in tx.inputs:
+            addr_node = graph.add_node(NodeKind.ADDRESS, inp.address)
+            graph.add_edge(addr_node, tx_node, inp.value)
+        for out in tx.outputs:
+            addr_node = graph.add_node(NodeKind.ADDRESS, out.address)
+            graph.add_edge(tx_node, addr_node, out.value)
+    return graph
+
+
+def to_array_graph(graph: AddressGraph) -> ArrayGraph:
+    """Columnar copy of an object-model graph (lossless; edge times 0.0)."""
+    n = graph.num_nodes
+    e = graph.num_edges
+    refs = np.empty(n, dtype=object)
+    for i, node in enumerate(graph.nodes):
+        refs[i] = node.ref
+    bag_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(node.values) for node in graph.nodes], out=bag_indptr[1:])
+    centrality: Optional[np.ndarray] = None
+    if any(node.centrality is not None for node in graph.nodes):
+        centrality = np.zeros((n, _CENTRALITY_DIMS), dtype=np.float64)
+        for node in graph.nodes:
+            if node.centrality is not None:
+                centrality[node.node_id] = node.centrality
+    return ArrayGraph(
+        center_address=graph.center_address,
+        slice_index=graph.slice_index,
+        time_range=graph.time_range,
+        kind_codes=np.fromiter(
+            (KIND_CODES[node.kind] for node in graph.nodes),
+            dtype=np.int64,
+            count=n,
+        ),
+        refs=refs,
+        merged_counts=np.fromiter(
+            (node.merged_count for node in graph.nodes),
+            dtype=np.int64,
+            count=n,
+        ),
+        bag_values=np.array(
+            [v for node in graph.nodes for v in node.values], dtype=np.float64
+        ),
+        bag_indptr=bag_indptr,
+        edge_src=np.fromiter(
+            (edge.src for edge in graph.edges), dtype=np.int64, count=e
+        ),
+        edge_dst=np.fromiter(
+            (edge.dst for edge in graph.edges), dtype=np.int64, count=e
+        ),
+        edge_values=np.fromiter(
+            (edge.value for edge in graph.edges), dtype=np.float64, count=e
+        ),
+        edge_times=np.zeros(e, dtype=np.float64),
+        centrality=centrality,
+        center_id=graph.center_node_id(),
+    )
+
+
+def to_address_graph(graph: ArrayGraph) -> AddressGraph:
+    """Object-model copy of a columnar graph (lossless except edge times)."""
+    out = AddressGraph(
+        center_address=graph.center_address,
+        slice_index=graph.slice_index,
+        time_range=graph.time_range,
+    )
+    indptr = graph.bag_indptr
+    for i in range(graph.num_nodes):
+        kind = NODE_KIND_ORDER[graph.kind_codes[i]]
+        node = GraphNode(
+            node_id=i,
+            kind=kind,
+            ref=graph.refs[i],
+            values=graph.bag_values[indptr[i] : indptr[i + 1]].tolist(),
+            merged_count=int(graph.merged_counts[i]),
+            centrality=(
+                graph.centrality[i] if graph.centrality is not None else None
+            ),
+        )
+        out.nodes.append(node)
+        out._node_by_ref[(kind, node.ref)] = i
+    out.edges = [
+        GraphEdge(src=int(s), dst=int(d), value=float(v))
+        for s, d, v in zip(graph.edge_src, graph.edge_dst, graph.edge_values)
+    ]
+    return out
+
 
 Adjacency = Sequence[Sequence[int]]
 

@@ -296,11 +296,9 @@ class _Shard:
     is guarded by ``lock``; ``version`` increments on every event that
     can change what a plan would conclude (block append, tail replay,
     trust reset), which is what lets queries plan and build *outside*
-    the lock and detect interference at commit time.  ``build_lock``
-    serialises parent-process (inline) builds per shard: the chain
-    index memoises interned node keys during construction, and two
-    concurrent builders racing that memo could intern conflicting keys.
-    It is never held together with ``lock``.
+    the lock and detect interference at commit time.  Construction
+    only reads the shard's index, so concurrent builds of one shard
+    need no lock of their own.
     """
 
     __slots__ = (
@@ -311,7 +309,6 @@ class _Shard:
         "embeddings",
         "covered",
         "lock",
-        "build_lock",
         "version",
     )
 
@@ -353,7 +350,6 @@ class _Shard:
         )
         self.covered: Dict[str, int] = {}
         self.lock = threading.RLock()
-        self.build_lock = threading.Lock()
         self.version = 0
 
     # -------------------------------------------------------------- #
@@ -1627,10 +1623,9 @@ class ClusterScoringService:
 
         The worker path submits every shard's task before collecting
         any result, so cross-shard construction overlaps in the pool;
-        the inline path (``num_workers == 0``) serialises per shard on
-        ``build_lock`` (the index's interning memo is not safe under
-        concurrent builders) while still overlapping across shards via
-        concurrent callers.
+        the inline path (``num_workers == 0``) builds shard by shard in
+        the calling thread, and concurrent callers build concurrently,
+        even on one shard.
         """
         built: Dict[str, List[EncodedGraph]] = {}
         if not to_build:
@@ -1655,16 +1650,15 @@ class ClusterScoringService:
                 pipeline = GraphConstructionPipeline(
                     self.pipeline_config
                 )
-                with shard.build_lock:
-                    built.update(
-                        build_encoded(
-                            pipeline,
-                            shard.index,
-                            requests,
-                            span="serve.encode",
-                            gfn_k=getattr(self.classifier.encoder, "k", None),
-                        )
+                built.update(
+                    build_encoded(
+                        pipeline,
+                        shard.index,
+                        requests,
+                        span="serve.encode",
+                        gfn_k=getattr(self.classifier.encoder, "k", None),
                     )
+                )
                 shard.merge_timer(pipeline.timer)
         return built
 

@@ -42,7 +42,7 @@ def golden_payload() -> dict:
         ),
     }
     for i, address in enumerate(addresses):
-        for graph in pipeline.build(index, address):
+        for graph in pipeline.build_many(index, [address])[address]:
             encoded = encode_graph(graph)
             stem = f"addr{i}_slice{graph.slice_index}"
             payload[f"{stem}_features"] = encoded.features

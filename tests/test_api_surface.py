@@ -1,7 +1,9 @@
 """API-surface quality gates: exports resolve, public items documented."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -93,10 +95,8 @@ class TestDocumentedSurface:
             "GraphConstructionPipeline",
             "GraphPipelineConfig",
             "augment_graph",
-            "augment_graphs",
-            "batched_centrality_matrices",
+            "augment_pack",
             "centrality_matrix_block_diagonal",
-            "pack_block_diagonal",
         ):
             assert name in graphs.__all__, name
 
@@ -126,6 +126,71 @@ class TestDocumentedSurface:
         fields = {f.name for f in dataclasses.fields(GraphPipelineConfig)}
         assert not any("batch" in name for name in fields), fields
         assert DEFAULT_MAX_BATCH_NODES > 0
+
+
+#: The per-node object model, confined to ``repro.graphs.reference``.
+OBJECT_MODEL = {"AddressGraph", "GraphNode", "GraphEdge"}
+
+#: Graph-construction and encoding entry points retired in favour of the
+#: one packed path (``build_pack`` / ``augment_pack`` / ``encode_pack``).
+RETIRED = {
+    "augment_graphs",
+    "batched_centrality_matrices",
+    "pack_block_diagonal",
+    "plan_packs",
+    "build_arrays_from_index",
+    "build_original_arrays",
+    "build_original_graph",
+    "extract_graphs",
+    "extract_array_graphs",
+    "encode_graphs",
+    "encode_sequences",
+}
+
+
+class TestOneGraphRepresentation:
+    """Production code knows one graph representation (``ArrayGraph`` /
+    ``GraphPack``); the object model lives only beside the oracles."""
+
+    def test_object_model_confined_to_reference(self):
+        import repro
+
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            module = ".".join(
+                ("repro",) + path.relative_to(root).with_suffix("").parts
+            )
+            if module == "repro.graphs.reference":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    names = {node.name}
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = {
+                        alias.name.rsplit(".", 1)[-1] for alias in node.names
+                    }
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                else:
+                    continue
+                for name in names & OBJECT_MODEL:
+                    offenders.append(f"{module}:{node.lineno} {name}")
+        assert not offenders, offenders
+
+    @pytest.mark.parametrize("package_name", ["repro.graphs", "repro.gnn"])
+    def test_retired_names_gone(self, package_name):
+        module = importlib.import_module(package_name)
+        for name in sorted(RETIRED | OBJECT_MODEL):
+            assert name not in module.__all__, name
+            assert not hasattr(module, name), name
+
+    def test_retired_options_gone(self):
+        from repro.graphs import GraphConstructionPipeline, augment_pack
+
+        for method in ("build", "build_slices", "build_many_slices"):
+            assert not hasattr(GraphConstructionPipeline, method), method
+        assert list(inspect.signature(augment_pack).parameters) == ["pack"]
 
 
 class TestVersion:

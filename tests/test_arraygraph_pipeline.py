@@ -21,19 +21,21 @@ import pytest
 from repro.core import BAClassifier, BAClassifierConfig
 from repro.gnn.data import encode_graph
 from repro.graphs import (
-    AddressGraph,
     ArrayGraph,
     GraphConstructionPipeline,
     GraphPipelineConfig,
-    build_arrays_from_index,
-    build_original_graph,
     flatten_graphs,
     slice_transactions,
 )
+from repro.graphs.extraction import build_arrays_from_columns
 from repro.graphs.reference import (
+    AddressGraph,
+    build_original_graph,
     reference_centrality_matrix,
     reference_compress_multi_transaction_addresses,
     reference_compress_single_transaction_addresses,
+    to_address_graph,
+    to_array_graph,
 )
 from repro.seqmodels.trainer import predict_proba_sequences
 from repro.core.embedding import embedding_sequences
@@ -66,7 +68,7 @@ def _reference_object_pipeline(index, address, config):
 
 def _assert_structure_identical(arrays: ArrayGraph, expected: AddressGraph):
     """Element-for-element structural equality of the two flavours."""
-    actual = arrays.to_address_graph()
+    actual = to_address_graph(arrays)
     assert actual.center_address == expected.center_address
     assert actual.slice_index == expected.slice_index
     assert actual.time_range == expected.time_range
@@ -94,7 +96,7 @@ def _check_pipeline_parity(seed: int):
     )
     pipeline = GraphConstructionPipeline(PIPELINE_CONFIG)
     for address in addresses:
-        array_graphs = pipeline.build(index, address)
+        array_graphs = pipeline.build_many(index, [address])[address]
         reference_graphs = _reference_object_pipeline(
             index, address, PIPELINE_CONFIG
         )
@@ -115,7 +117,7 @@ def _check_pipeline_parity(seed: int):
                     atol=1e-9,
                 )
             encoded_arrays = encode_graph(arrays)
-            encoded_reference = encode_graph(reference)
+            encoded_reference = encode_graph(to_array_graph(reference))
             np.testing.assert_allclose(
                 encoded_arrays.features,
                 encoded_reference.features,
@@ -148,6 +150,13 @@ def test_pipeline_parity_full_depth(seed):
 # --------------------------------------------------------------------- #
 
 
+def _from_index(index, address, chunk, slice_index):
+    """:func:`build_arrays_from_columns` over the in-memory index's
+    memoised per-transaction columns."""
+    columns = [index.transaction_arrays(tx) for tx in chunk]
+    return build_arrays_from_columns(index, address, columns, slice_index)
+
+
 def _check_builder_parity(seed: int):
     _, index, addresses = random_chain(seed)
     pipeline = GraphConstructionPipeline(
@@ -161,9 +170,7 @@ def _check_builder_parity(seed: int):
     for address in addresses:
         transactions = index.transactions_of(address)
         for i, chunk in enumerate(slice_transactions(transactions, 4)):
-            from_columns = build_arrays_from_index(
-                index, address, chunk, slice_index=i
-            )
+            from_columns = _from_index(index, address, chunk, i)
             from_objects = build_original_graph(address, chunk, slice_index=i)
             _assert_structure_identical(from_columns, from_objects)
     # Dropping the column memo must not change results (it rebuilds).
@@ -171,12 +178,12 @@ def _check_builder_parity(seed: int):
     address = addresses[0]
     chunk = slice_transactions(index.transactions_of(address), 4)[0]
     _assert_structure_identical(
-        build_arrays_from_index(index, address, chunk, slice_index=0),
+        _from_index(index, address, chunk, 0),
         build_original_graph(address, chunk, slice_index=0),
     )
     # ... and the pipeline's own Stage-1 output matches both.
     for address in addresses:
-        for graph in pipeline.build(index, address):
+        for graph in pipeline.build_many(index, [address])[address]:
             assert graph.num_nodes > 0
 
 
@@ -230,7 +237,7 @@ def _check_score_parity(classifier, seed: int):
 
     encoded_by_address = {
         address: [
-            encode_graph(graph)
+            encode_graph(to_array_graph(graph))
             for graph in _reference_object_pipeline(
                 index, address, classifier.config.pipeline_config()
             )
@@ -270,8 +277,8 @@ def test_conversion_round_trip():
     """arrays → objects → arrays preserves every column exactly."""
     _, index, addresses = random_chain(1)
     pipeline = GraphConstructionPipeline(PIPELINE_CONFIG)
-    for graph in pipeline.build(index, addresses[0]):
-        round_tripped = AddressGraph.from_arrays(graph).to_arrays()
+    for graph in pipeline.build_many(index, [addresses[0]])[addresses[0]]:
+        round_tripped = to_array_graph(to_address_graph(graph))
         np.testing.assert_array_equal(graph.kind_codes, round_tripped.kind_codes)
         assert list(graph.refs) == list(round_tripped.refs)
         np.testing.assert_array_equal(
@@ -294,10 +301,10 @@ def test_flatten_works_on_both_flavours():
     """flatten_graphs output is identical for the two representations."""
     _, index, addresses = random_chain(2)
     pipeline = GraphConstructionPipeline(PIPELINE_CONFIG)
-    graphs = pipeline.build(index, addresses[0])
+    graphs = pipeline.build_many(index, [addresses[0]])[addresses[0]]
     np.testing.assert_allclose(
         flatten_graphs(graphs),
-        flatten_graphs([g.to_address_graph() for g in graphs]),
+        flatten_graphs([to_address_graph(g) for g in graphs]),
         rtol=0,
         atol=0,
     )

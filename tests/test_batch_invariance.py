@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from repro.gnn import DiffPool, GCN, GFN, encode_graph
-from repro.graphs import AddressGraph, NodeKind, augment_graph
+from repro.graphs import ArrayGraph, NodeKind, augment_graph
+from repro.graphs.reference import AddressGraph, to_array_graph
 from repro.nn import Tensor, no_grad
 from repro.seqmodels import build_head, pad_sequences
 
 
-def _graph(center: str, n_leaves: int, value: float) -> AddressGraph:
+def _graph(center: str, n_leaves: int, value: float) -> ArrayGraph:
     graph = AddressGraph(center_address=center)
     center_id = graph.add_node(NodeKind.ADDRESS, center)
     tx_id = graph.add_node(NodeKind.TRANSACTION, f"tx:{center}")
@@ -22,7 +23,7 @@ def _graph(center: str, n_leaves: int, value: float) -> AddressGraph:
     for leaf in range(n_leaves):
         leaf_id = graph.add_node(NodeKind.ADDRESS, f"{center}:{leaf}")
         graph.add_edge(tx_id, leaf_id, value)
-    return augment_graph(graph)
+    return augment_graph(to_array_graph(graph))
 
 
 @pytest.fixture(scope="module")

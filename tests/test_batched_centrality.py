@@ -1,11 +1,13 @@
 """Cross-graph block-diagonal Stage-4 batching: parity + edge cases.
 
-The batched path must be a pure performance optimisation: a batch of
-size one is bit-for-bit the per-graph path, mixed batches (empty,
-single-node, disconnected, dangling-node graphs) are pinned to 1e-9
-against both the per-graph CSR kernels and the pure-Python reference
-oracles, batching is order-invariant, and chunking never changes
-results.
+Stage 4 (:func:`repro.graphs.augmentation.augment_pack`) must be a pure
+performance optimisation: a pack of one graph is bit-for-bit the
+per-graph path, mixed packs (empty, single-node, disconnected,
+dangling-node graphs) are pinned to 1e-9 against both the per-graph
+CSR kernels and the pure-Python reference oracles, packing is
+order-invariant, and cutting the pack into sweeps under the node
+budget (``augmentation.DEFAULT_MAX_BATCH_NODES``, monkeypatched here)
+never changes results.
 """
 
 import time
@@ -17,15 +19,14 @@ import scipy.sparse as sp
 from repro.graphs import (
     ArrayGraph,
     GraphConstructionPipeline,
+    GraphPack,
     GraphPipelineConfig,
     augment_graph,
-    augment_graphs,
-    batched_centrality_matrices,
+    augment_pack,
     centrality_matrix_block_diagonal,
     centrality_matrix_csr,
-    pack_block_diagonal,
-    plan_packs,
 )
+from repro.graphs import augmentation
 from repro.graphs.centrality import (
     PAGERANK_DENSE_MAX_NODES,
     _csr_from_lists,
@@ -61,6 +62,74 @@ def _random_csr(n: int, seed: int, isolate: int = 0) -> sp.csr_matrix:
     return matrix
 
 
+def _graph_of(matrix: sp.csr_matrix, name: str = "g") -> ArrayGraph:
+    """An :class:`ArrayGraph` whose ``adjacency_matrix()`` is the
+    symmetric ``matrix``: one edge per stored upper-triangle entry."""
+    n = matrix.shape[0]
+    upper = sp.triu(matrix, k=1).tocoo()
+    src = upper.row.astype(np.int64)
+    return ArrayGraph(
+        center_address=name,
+        slice_index=0,
+        time_range=(0.0, 0.0),
+        kind_codes=np.zeros(n, dtype=np.int64),
+        refs=np.array([f"{name}-{i}" for i in range(n)], dtype=object),
+        merged_counts=np.ones(n, dtype=np.int64),
+        bag_values=np.ones(n, dtype=np.float64),
+        bag_indptr=np.arange(n + 1, dtype=np.int64),
+        edge_src=src,
+        edge_dst=upper.col.astype(np.int64),
+        edge_values=np.ones(src.size),
+        edge_times=np.zeros(src.size),
+        center_id=0 if n else None,
+    )
+
+
+def _augment(graphs, budget=augmentation.DEFAULT_MAX_BATCH_NODES):
+    """Stage 4 over one pack of ``graphs`` under a ``budget``-node sweep
+    budget; each graph's ``(n_g, 4)`` centrality rows, in order."""
+    pack = GraphPack.of(graphs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(augmentation, "DEFAULT_MAX_BATCH_NODES", budget)
+        augment_pack(pack)
+    offsets = pack.node_offsets.tolist()
+    return [pack.centrality[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+
+
+def _sweep_runs(graphs, budget):
+    """How many graphs each Stage-4 sweep over a pack of ``graphs``
+    covers, in sweep order."""
+    runs = []
+    sweep = augmentation.centrality_matrix_block_diagonal
+
+    def counted(matrix, offsets, transpose=None):
+        runs.append(len(offsets) - 1)
+        return sweep(matrix, offsets, transpose=transpose)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(augmentation, "centrality_matrix_block_diagonal", counted)
+        _augment(graphs, budget)
+    return runs
+
+
+def _block_diagonal(matrices):
+    """Square CSRs stacked block-diagonally with their stored entries
+    kept verbatim (duplicates included): ``(packed, offsets)``."""
+    offsets = np.zeros(len(matrices) + 1, dtype=np.int64)
+    np.cumsum([m.shape[0] for m in matrices], out=offsets[1:])
+    nnz = np.cumsum([0] + [m.nnz for m in matrices])
+    indptr = np.concatenate(
+        [[0]] + [m.indptr[1:] + base for m, base in zip(matrices, nnz)]
+    )
+    indices = np.concatenate(
+        [m.indices + lo for m, lo in zip(matrices, offsets)]
+    )
+    data = np.concatenate([m.data for m in matrices])
+    total = int(offsets[-1])
+    packed = sp.csr_matrix((data, indices, indptr), shape=(total, total))
+    return packed, offsets
+
+
 def _adjacency_lists(matrix: sp.csr_matrix):
     return [
         sorted(matrix.indices[matrix.indptr[i] : matrix.indptr[i + 1]].tolist())
@@ -84,6 +153,13 @@ def mixed_matrices():
 
 
 @pytest.fixture(scope="module")
+def mixed_graphs(mixed_matrices):
+    return [
+        _graph_of(matrix, f"m{i}") for i, matrix in enumerate(mixed_matrices)
+    ]
+
+
+@pytest.fixture(scope="module")
 def pipeline_graphs():
     """Real (un-augmented) slice graphs out of Stages 1–3."""
     _, index, addresses = random_chain(seed=11)
@@ -93,17 +169,17 @@ def pipeline_graphs():
     graphs = [
         graph
         for address in addresses
-        for graph in pipeline.build(index, address)
+        for graph in pipeline.build_many(index, [address])[address]
     ]
     assert graphs
     return graphs
 
 
 class TestKernelParity:
-    def test_mixed_batch_matches_per_graph_and_reference(self, mixed_matrices):
-        batched = batched_centrality_matrices(
-            mixed_matrices, max_batch_nodes=120
-        )
+    def test_mixed_batch_matches_per_graph_and_reference(
+        self, mixed_matrices, mixed_graphs
+    ):
+        batched = _augment(mixed_graphs, budget=120)
         for i, (matrix, got) in enumerate(zip(mixed_matrices, batched)):
             assert got.shape == (matrix.shape[0], 4)
             np.testing.assert_allclose(
@@ -121,47 +197,48 @@ class TestKernelParity:
                 err_msg=f"graph {i} vs pure-Python reference",
             )
 
-    def test_singleton_batch_bit_for_bit(self, mixed_matrices):
-        for i, matrix in enumerate(mixed_matrices):
-            got = batched_centrality_matrices([matrix])[0]
+    def test_singleton_batch_bit_for_bit(self, mixed_matrices, mixed_graphs):
+        for i, (matrix, graph) in enumerate(zip(mixed_matrices, mixed_graphs)):
+            (got,) = _augment([graph])
             expected = centrality_matrix_csr(matrix)
             assert np.array_equal(got, expected), f"graph {i} not bitwise"
 
     def test_empty_batch(self):
-        assert batched_centrality_matrices([]) == []
-
-    def test_order_invariance(self, mixed_matrices):
-        rng = np.random.default_rng(3)
-        baseline = batched_centrality_matrices(
-            mixed_matrices, max_batch_nodes=120
+        got = centrality_matrix_block_diagonal(
+            sp.csr_matrix((0, 0), dtype=np.float64),
+            np.zeros(1, dtype=np.int64),
         )
-        permutation = rng.permutation(len(mixed_matrices))
-        permuted = batched_centrality_matrices(
-            [mixed_matrices[j] for j in permutation], max_batch_nodes=120
+        assert got.shape == (0, 4)
+
+    def test_order_invariance(self, mixed_graphs):
+        rng = np.random.default_rng(3)
+        baseline = _augment(mixed_graphs, budget=120)
+        permutation = rng.permutation(len(mixed_graphs))
+        permuted = _augment(
+            [mixed_graphs[j] for j in permutation], budget=120
         )
         for position, j in enumerate(permutation):
             assert np.array_equal(permuted[position], baseline[j]), (
                 f"permuting the batch changed graph {j}"
             )
 
-    def test_chunking_invariance(self, mixed_matrices):
-        one_pack = batched_centrality_matrices(
-            mixed_matrices, max_batch_nodes=None
-        )
-        tiny_packs = batched_centrality_matrices(
-            mixed_matrices, max_batch_nodes=1
-        )
+    def test_chunking_invariance(self, mixed_graphs):
+        one_pack = _augment(mixed_graphs, budget=sum(MIXED_SIZES))
+        tiny_packs = _augment(mixed_graphs, budget=1)
         for i, (a, b) in enumerate(zip(one_pack, tiny_packs)):
             assert np.array_equal(a, b), f"chunking changed graph {i}"
 
-    def test_pack_block_diagonal_structure(self, mixed_matrices):
-        packed, offsets = pack_block_diagonal(mixed_matrices)
+    def test_pack_block_diagonal_structure(self, mixed_matrices, mixed_graphs):
+        """Stage 4's pack adjacency: each diagonal block is its graph's
+        own adjacency, and nothing lies off the diagonal blocks."""
+        pack = GraphPack.of(mixed_graphs)
+        packed = augment_pack(pack)
+        offsets = pack.node_offsets
         assert offsets[0] == 0
         assert offsets[-1] == packed.shape[0] == sum(MIXED_SIZES)
         for matrix, lo, hi in zip(mixed_matrices, offsets[:-1], offsets[1:]):
             block = packed[lo:hi, lo:hi]
             assert (block != matrix).nnz == 0
-        # nothing off the diagonal blocks
         assert packed.nnz == sum(m.nnz for m in mixed_matrices)
 
     def test_offsets_validated(self):
@@ -172,58 +249,43 @@ class TestKernelParity:
             )
 
 
+def _sized_graphs(sizes):
+    """Edgeless graphs of the given node counts."""
+    return [
+        _graph_of(sp.csr_matrix((n, n), dtype=np.float64), f"s{i}")
+        for i, n in enumerate(sizes)
+    ]
+
+
 class TestSkewAwarePacking:
-    """Size-sorted pack planning: a giant graph packs with its peers,
-    and the plan never changes results (pure performance)."""
+    """Stage 4 sweeps contiguous runs of the pack under the node budget;
+    a graph larger than the budget runs alone, and the runs never
+    change results (pure performance)."""
 
     def test_plan_covers_each_graph_once(self):
         sizes = [5, 300, 7, 40, 40, 1, 0, 300]
-        packs = plan_packs(sizes, max_batch_nodes=100)
-        seen = sorted(int(i) for pack in packs for i in pack)
-        assert seen == list(range(len(sizes)))
+        runs = _sweep_runs(_sized_graphs(sizes), budget=100)
+        assert runs == [1, 1, 5, 1]
+        assert sum(runs) == len(sizes)
 
     def test_giant_separated_from_small_graphs(self):
-        """Input-order packing would trap the giant with the smalls;
-        the size-sorted plan gives it a pack of its own size class."""
-        sizes = [4, 4, 500, 4, 4]
-        packs = plan_packs(sizes, max_batch_nodes=64)
-        giant_pack = next(pack for pack in packs if 2 in pack)
-        assert list(giant_pack) == [2]
-        unsorted = plan_packs(sizes, max_batch_nodes=64, size_sort=False)
-        assert [list(pack) for pack in unsorted] == [[0, 1], [2], [3, 4]]
-
-    def test_size_sort_descending_and_stable(self):
-        packs = plan_packs([10, 30, 10, 30], max_batch_nodes=None)
-        assert [int(i) for i in packs[0]] == [1, 3, 0, 2]
+        """Contiguous runs close before a graph that would overflow the
+        budget, so a giant gets a run of its own."""
+        runs = _sweep_runs(_sized_graphs([4, 4, 500, 4, 4]), budget=64)
+        assert runs == [2, 1, 2]
 
     def test_empty_and_budgetless_plans(self):
-        assert plan_packs([], max_batch_nodes=8) == []
-        (single,) = plan_packs([3, 9, 1], max_batch_nodes=None)
-        assert sorted(int(i) for i in single) == [0, 1, 2]
-
-    def test_skew_sorting_does_not_change_results(self, mixed_matrices):
-        """The order-invariance proof for the skew plan itself: sorted
-        and input-order packing produce identical matrices, matching
-        the per-graph kernel."""
-        sorted_results = batched_centrality_matrices(
-            mixed_matrices, max_batch_nodes=60, size_sort=True
-        )
-        unsorted_results = batched_centrality_matrices(
-            mixed_matrices, max_batch_nodes=60, size_sort=False
-        )
-        for i, (a, b) in enumerate(
-            zip(sorted_results, unsorted_results)
-        ):
-            assert np.array_equal(a, b), f"size_sort changed graph {i}"
-            expected = centrality_matrix_csr(mixed_matrices[i])
-            np.testing.assert_allclose(a, expected, rtol=1e-9, atol=1e-9)
+        """A budget covering the whole pack sweeps it once, empty graphs
+        included."""
+        assert _sweep_runs(_sized_graphs([3, 9, 1]), budget=13) == [3]
+        assert _sweep_runs(_sized_graphs([0, 0]), budget=1) == [2]
 
     def test_augment_graphs_skewed_batch_matches_per_graph(
         self, pipeline_graphs
     ):
         """A deliberately skewed batch (one giant + the pipeline's real
         slice graphs) augments identically to the per-graph path even
-        with a budget small enough to force multi-pack planning."""
+        with a budget small enough to force several sweeps."""
         graphs = [_copy_arrays(graph) for graph in pipeline_graphs]
         expected = [
             augment_graph(_copy_arrays(graph)).centrality
@@ -231,10 +293,9 @@ class TestSkewAwarePacking:
         ]
         sizes = sorted(graph.num_nodes for graph in graphs)
         budget = max(sizes[-1], 2 * sizes[0])
-        augment_graphs(graphs, max_batch_nodes=budget)
-        for graph, reference in zip(graphs, expected):
+        for got, reference in zip(_augment(graphs, budget), expected):
             np.testing.assert_allclose(
-                graph.centrality, reference, rtol=1e-9, atol=1e-9
+                got, reference, rtol=1e-9, atol=1e-9
             )
 
 
@@ -248,16 +309,11 @@ class TestActiveSegmentCompaction:
         return fast + [_random_csr(120, seed=77)]
 
     def test_skewed_pack_order_invariance(self, skewed_matrices):
-        baseline = batched_centrality_matrices(
-            skewed_matrices, max_batch_nodes=None
-        )
-        permutation = np.random.default_rng(9).permutation(
-            len(skewed_matrices)
-        )
-        permuted = batched_centrality_matrices(
-            [skewed_matrices[j] for j in permutation],
-            max_batch_nodes=None,
-        )
+        graphs = [_graph_of(matrix) for matrix in skewed_matrices]
+        budget = sum(matrix.shape[0] for matrix in skewed_matrices)
+        baseline = _augment(graphs, budget)
+        permutation = np.random.default_rng(9).permutation(len(graphs))
+        permuted = _augment([graphs[j] for j in permutation], budget)
         for position, j in enumerate(permutation):
             assert np.array_equal(permuted[position], baseline[j]), (
                 f"permuting the skewed batch changed graph {j}"
@@ -266,7 +322,7 @@ class TestActiveSegmentCompaction:
 
 def _solve_packed(matrices):
     """:func:`pagerank_exact` over one pack, split back per graph."""
-    packed, offsets = pack_block_diagonal(matrices)
+    packed, offsets = _block_diagonal(matrices)
     ranks = pagerank_exact(
         packed.transpose().tocsr(),
         np.diff(packed.indptr).astype(np.float64),
@@ -337,7 +393,7 @@ class TestExactPageRank:
         solve runs 15-50x the iteration on a 2-CPU x86-64 host)."""
         matrices = [g.adjacency_matrix() for g in pipeline_graphs[:12]]
         assert max(m.shape[0] for m in matrices) <= PAGERANK_DENSE_MAX_NODES
-        packed, offsets = pack_block_diagonal(matrices)
+        packed, offsets = _block_diagonal(matrices)
         transpose = packed.transpose().tocsr()
         out_degree = np.diff(packed.indptr).astype(np.float64)
         singles = [
@@ -368,12 +424,17 @@ class TestExactPageRank:
 
 class TestAugmentGraphs:
     def test_empty_batch_is_noop(self):
-        assert augment_graphs([]) == []
+        """A pack of empty graphs gets zero centrality rows."""
+        empty = _graph_of(sp.csr_matrix((0, 0), dtype=np.float64))
+        pack = GraphPack.of([empty, empty])
+        adjacency = augment_pack(pack)
+        assert adjacency.shape == (0, 0)
+        assert pack.centrality.shape == (0, 4)
 
     def test_singleton_equals_per_graph_bit_for_bit(self, pipeline_graphs):
         for graph in pipeline_graphs[:6]:
             expected = augment_graph(_copy_arrays(graph)).centrality
-            got = augment_graphs([_copy_arrays(graph)])[0].centrality
+            (got,) = _augment([_copy_arrays(graph)])
             assert np.array_equal(got, expected)
 
     def test_batch_matches_per_graph(self, pipeline_graphs):
@@ -381,54 +442,26 @@ class TestAugmentGraphs:
             augment_graph(_copy_arrays(graph)).centrality
             for graph in pipeline_graphs
         ]
-        batched = augment_graphs(
-            [_copy_arrays(graph) for graph in pipeline_graphs],
-            max_batch_nodes=100,
+        batched = _augment(
+            [_copy_arrays(graph) for graph in pipeline_graphs], budget=100
         )
-        for expected, graph in zip(per_graph, batched):
-            assert np.array_equal(graph.centrality, expected)
+        for expected, got in zip(per_graph, batched):
+            assert np.array_equal(got, expected)
 
     def test_results_own_their_memory(self, pipeline_graphs):
-        batched = augment_graphs(
-            [_copy_arrays(graph) for graph in pipeline_graphs[:4]]
-        )
-        assert all(
-            graph.centrality.base is None for graph in batched
-        ), "centrality must not view the pack"
+        """Stage 4 writes a fresh centrality column into the pack and
+        leaves the graphs it was packed from alone."""
+        graphs = [_copy_arrays(graph) for graph in pipeline_graphs[:4]]
+        pack = GraphPack.of(graphs)
+        augment_pack(pack)
+        assert pack.centrality.base is None
+        assert all(graph.centrality is None for graph in graphs)
 
     def test_empty_graph_left_unaugmented(self):
-        empty = ArrayGraph(
-            center_address="nobody",
-            slice_index=0,
-            time_range=(0.0, 0.0),
-            kind_codes=np.zeros(0, dtype=np.int64),
-            refs=np.zeros(0, dtype=object),
-            merged_counts=np.zeros(0, dtype=np.int64),
-            bag_values=np.zeros(0, dtype=np.float64),
-            bag_indptr=np.zeros(1, dtype=np.int64),
-            edge_src=np.zeros(0, dtype=np.int64),
-            edge_dst=np.zeros(0, dtype=np.int64),
-            edge_values=np.zeros(0, dtype=np.float64),
-            edge_times=np.zeros(0, dtype=np.float64),
-        )
-        (got,) = augment_graphs([empty])
+        empty = _graph_of(sp.csr_matrix((0, 0), dtype=np.float64), "nobody")
+        got = augment_graph(empty)
         assert got is empty
-        assert got.centrality is None  # matches augment_graph's no-op
-
-    def test_object_model_graphs_supported(self, pipeline_graphs):
-        objects = [
-            graph.to_address_graph() for graph in pipeline_graphs[:5]
-        ]
-        expected = [
-            augment_graph(_copy_arrays(graph)).centrality
-            for graph in pipeline_graphs[:5]
-        ]
-        augment_graphs(objects, max_batch_nodes=64)
-        for graph, matrix in zip(objects, expected):
-            for node in graph.nodes:
-                np.testing.assert_array_equal(
-                    node.centrality, matrix[node.node_id]
-                )
+        assert got.centrality is None
 
 
 class TestPipelineIntegration:
@@ -452,6 +485,8 @@ class TestPipelineIntegration:
                 )
 
     def test_build_many_slices_matches_per_address_builds(self):
+        """One pack over several addresses' requested slices equals a
+        build per address, graph by graph."""
         _, index, addresses = random_chain(seed=31)
         pipeline = GraphConstructionPipeline(
             GraphPipelineConfig(slice_size=10)
@@ -460,14 +495,20 @@ class TestPipelineIntegration:
             addresses[0]: None,
             addresses[1]: [0],
         }
-        combined = pipeline.build_many_slices(index, requests)
+        combined, _ = pipeline.build_pack(index, requests)
+        combined_graphs = combined.graphs()
         solo = GraphConstructionPipeline(GraphPipelineConfig(slice_size=10))
+        expected = []
         for address, slice_indices in requests.items():
-            expected = solo.build_slices(index, address, slice_indices)
-            assert len(combined[address]) == len(expected)
-            for a, b in zip(combined[address], expected):
-                assert a.slice_index == b.slice_index
-                assert np.array_equal(a.centrality, b.centrality)
+            pack, _ = solo.build_pack(index, {address: slice_indices})
+            expected.extend(pack.graphs())
+        assert len(combined_graphs) == len(expected)
+        for a, b in zip(combined_graphs, expected):
+            assert (a.center_address, a.slice_index) == (
+                b.center_address,
+                b.slice_index,
+            )
+            assert np.array_equal(a.centrality, b.centrality)
 
     def test_stage_report_counts_batched_graphs(self):
         _, index, addresses = random_chain(seed=5)

@@ -121,12 +121,12 @@ def _assert_column_parity(index, view, addresses):
 def _assert_pipeline_parity(index, view, addresses):
     """Pipeline graphs from mapped columns == graphs from objects."""
     for address in addresses:
-        reference = GraphConstructionPipeline(PIPELINE_CONFIG).build(
-            index, address
-        )
-        mapped = GraphConstructionPipeline(PIPELINE_CONFIG).build(
-            view, address
-        )
+        reference = GraphConstructionPipeline(PIPELINE_CONFIG).build_many(
+            index, [address]
+        )[address]
+        mapped = GraphConstructionPipeline(PIPELINE_CONFIG).build_many(
+            view, [address]
+        )[address]
         assert len(mapped) == len(reference), address
         for want, got in zip(reference, mapped):
             want_t = encode_graph(want)
@@ -455,8 +455,8 @@ class TestMemoDiscipline:
         try:
             def sweep():
                 for address in addresses:
-                    GraphConstructionPipeline(PIPELINE_CONFIG).build(
-                        view, address
+                    GraphConstructionPipeline(PIPELINE_CONFIG).build_many(
+                        view, [address]
                     )
                     view.transaction_columns_of(address)
                     view.records_for(address)

@@ -15,28 +15,29 @@ from repro.gnn import (
     GraphTrainingConfig,
     augment_features,
     class_weight_vector,
+    build_encoded,
     encode_graph,
-    encode_graphs,
-    encode_sequences,
+    encode_pack,
     fit_graph_classifier,
     mean_readout,
     sum_readout,
 )
 from repro.graphs import (
-    AddressGraph,
     ArrayGraph,
     GraphConstructionPipeline,
+    GraphPack,
     GraphPipelineConfig,
     NodeKind,
     augment_graph,
 )
 from repro.graphs.matrices import normalized_adjacency_from_matrix
+from repro.graphs.reference import AddressGraph, to_array_graph
 from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.testing import random_chain
 
 
-def _toy_graph(center: str, n_leaves: int, leaf_value: float) -> AddressGraph:
+def _toy_objects(center: str, n_leaves: int, leaf_value: float) -> AddressGraph:
     """A star: center address -> tx -> n_leaves outputs of leaf_value."""
     graph = AddressGraph(center_address=center)
     center_id = graph.add_node(NodeKind.ADDRESS, center)
@@ -45,7 +46,14 @@ def _toy_graph(center: str, n_leaves: int, leaf_value: float) -> AddressGraph:
     for leaf in range(n_leaves):
         leaf_id = graph.add_node(NodeKind.ADDRESS, f"{center}:leaf{leaf}")
         graph.add_edge(tx_id, leaf_id, leaf_value)
-    return augment_graph(graph)
+    return graph
+
+
+def _toy_graph(center: str, n_leaves: int, leaf_value: float) -> ArrayGraph:
+    """:func:`_toy_objects` as an augmented columnar graph."""
+    return augment_graph(
+        to_array_graph(_toy_objects(center, n_leaves, leaf_value))
+    )
 
 
 def _toy_dataset(n_per_class: int = 20, seed: int = 0):
@@ -73,15 +81,26 @@ class TestEncoding:
 
     def test_encode_empty_rejected(self):
         with pytest.raises(ValidationError):
-            encode_graph(AddressGraph("x"))
+            encode_graph(to_array_graph(AddressGraph("x")))
 
     def test_encode_sequences_ordering(self):
-        g0 = _toy_graph("a", 3, 1.0)
-        g1 = _toy_graph("a", 3, 1.0)
-        g0.slice_index, g1.slice_index = 1, 0
-        encoded = encode_sequences({"a": [g0, g1]}, {"a": 2})
-        assert [g.slice_index for g in encoded["a"]] == [0, 1]
-        assert all(g.label == 2 for g in encoded["a"])
+        """build_encoded returns each address's slices ascending, in
+        request order, labelled per address."""
+        _, index, addresses = random_chain(7, num_wallets=4, rounds=10)
+        pipeline = GraphConstructionPipeline(GraphPipelineConfig(slice_size=4))
+        busy = max(addresses, key=index.transaction_count)
+        other = next(a for a in addresses if a != busy)
+        encoded = build_encoded(
+            pipeline,
+            index,
+            {busy: [2, 0, 1], other: None},
+            span="test.encode",
+            labels_by_address={busy: 2},
+        )
+        assert list(encoded) == [busy, other]
+        assert [g.slice_index for g in encoded[busy]] == [0, 1, 2]
+        assert all(g.label == 2 for g in encoded[busy])
+        assert all(g.label == -1 for g in encoded[other])
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +111,7 @@ def corpus_graphs():
     graphs = [
         graph
         for address in addresses
-        for graph in pipeline.build(index, address)
+        for graph in pipeline.build_many(index, [address])[address]
     ]
     assert len(graphs) >= 12
     return graphs
@@ -113,13 +132,13 @@ def _edge_case_graphs():
         zero_edge.add_node(NodeKind.ADDRESS, ref)
     one_node = AddressGraph(center_address="one_node", slice_index=3)
     one_node.add_node(NodeKind.ADDRESS, "one_node")
-    parallel_edge = _toy_graph("parallel_edge", 2, 5.0)
+    parallel_edge = _toy_objects("parallel_edge", 2, 5.0)
     parallel_edge.add_edge(0, 1, 7.0)  # a second center -> tx edge
     parallel_edge.add_edge(2, 2, 1.0)  # and a self-loop
     return {
-        "zero_edge": zero_edge,
-        "one_node": one_node,
-        "parallel_edge": parallel_edge,
+        "zero_edge": to_array_graph(zero_edge),
+        "one_node": to_array_graph(one_node),
+        "parallel_edge": augment_graph(to_array_graph(parallel_edge)),
     }
 
 
@@ -137,7 +156,7 @@ class TestEncodeGraphs:
 
     def test_corpus_batch_matches_oracle(self, corpus_graphs):
         labels = list(range(len(corpus_graphs)))
-        encoded = encode_graphs(corpus_graphs, labels)
+        encoded = encode_pack(GraphPack.of(corpus_graphs), labels=labels)
         self._assert_matches_oracle(corpus_graphs, encoded)
         assert [row.label for row in encoded] == labels
         # Rows are copies: none keeps the whole batch's pack alive.
@@ -155,37 +174,30 @@ class TestEncodeGraphs:
     )
     def test_edge_case_graph_matches_oracle(self, case):
         graph = _edge_case_graphs()[case]
-        self._assert_matches_oracle([graph], encode_graphs([graph]))
-
-    def test_mixed_flavour_batch_matches_oracle(self, corpus_graphs):
-        arrays = corpus_graphs[:4]
-        graphs = [
-            arrays[0],
-            arrays[1].to_address_graph(),
-            *_edge_case_graphs().values(),
-            ArrayGraph.from_address_graph(_toy_graph("t", 3, 2.0)),
-            arrays[2],
-            arrays[3].to_address_graph(),
-        ]
-        self._assert_matches_oracle(graphs, encode_graphs(graphs))
+        self._assert_matches_oracle(
+            [graph], encode_pack(GraphPack.of([graph]))
+        )
 
     def test_empty_list(self):
-        assert encode_graphs([]) == []
+        """A request for nothing builds and encodes nothing."""
+        _, index, _ = random_chain(7, num_wallets=4, rounds=10)
+        pipeline = GraphConstructionPipeline(GraphPipelineConfig(slice_size=4))
+        assert build_encoded(pipeline, index, {}, span="test.encode") == {}
 
-    def test_empty_graph_in_batch_rejected(self, corpus_graphs):
-        batch = [corpus_graphs[0], AddressGraph("deadbeefcafe-empty")]
+    def test_empty_graph_in_batch_rejected(self):
+        empty = to_array_graph(AddressGraph("deadbeefcafe-empty"))
         with pytest.raises(ValidationError, match="deadbeefcafe"):
-            encode_graphs(batch)
+            encode_graph(empty)
 
     def test_label_count_mismatch_rejected(self, corpus_graphs):
         with pytest.raises(ValidationError):
-            encode_graphs(corpus_graphs[:2], [0])
+            encode_pack(GraphPack.of(corpus_graphs[:2]), labels=[0])
 
     def test_batched_beats_per_graph_oracle(self, corpus_graphs):
         """Live speed ratio, measured in one process so it holds on any
         machine: best of 5 runs each on a 12-graph batch.  The batched
         encoder only amortises per-call overhead, so one per-graph scipy
-        round trip slipping back into ``encode_graphs`` fails this (it
+        round trip slipping back into ``encode_pack`` fails this (it
         runs 6-9x the per-graph oracle on a 2-CPU x86-64 host)."""
         batch = corpus_graphs[:12]
 
@@ -199,7 +211,7 @@ class TestEncodeGraphs:
             return best
 
         oracle = best_of_5(lambda: [_encode_oracle(g) for g in batch])
-        batched = best_of_5(lambda: encode_graphs(batch))
+        batched = best_of_5(lambda: encode_pack(GraphPack.of(batch)))
         assert oracle / batched >= 2.0, (oracle, batched)
 
 

@@ -60,7 +60,7 @@ def test_encoded_tensors_match_golden(golden, world):
     )
     seen = {"transaction_counts", "scores"}
     for i, address in enumerate(addresses):
-        for graph in pipeline.build(index, address):
+        for graph in pipeline.build_many(index, [address])[address]:
             encoded = encode_graph(graph)
             stem = f"addr{i}_slice{graph.slice_index}"
             np.testing.assert_allclose(

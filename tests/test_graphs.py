@@ -21,26 +21,28 @@ from repro.chain import (
 from repro.errors import GraphConstructionError, ValidationError
 from repro.graphs import (
     NODE_FEATURE_DIM,
-    AddressGraph,
     GraphConstructionPipeline,
     GraphPipelineConfig,
     NodeKind,
     STAGE_NAMES,
     augment_graph,
     betweenness_centrality,
-    build_original_graph,
     centrality_matrix,
     closeness_centrality,
     compress_multi_transaction_addresses,
     compress_single_transaction_addresses,
     degree_centrality,
-    extract_graphs,
     flatten_graph,
     flatten_graphs,
     normalized_adjacency,
     pagerank_centrality,
     similarity_matrices,
     slice_transactions,
+)
+from repro.graphs.reference import (
+    build_original_graph,
+    to_address_graph,
+    to_array_graph,
 )
 
 
@@ -139,10 +141,16 @@ def _fanout_graph(n_single: int = 6):
     return center, build_original_graph(center, [base, spend])
 
 
+def _compressed(compress, graph, **kwargs):
+    """A columnar compression pass over an object-model graph, read back
+    as objects for inspection."""
+    return to_address_graph(compress(to_array_graph(graph), **kwargs))
+
+
 class TestSingleCompression:
     def test_merges_fanout_outputs(self):
         center, graph = _fanout_graph(6)
-        compressed = compress_single_transaction_addresses(graph)
+        compressed = _compressed(compress_single_transaction_addresses, graph)
         hypers = compressed.nodes_of_kind(NodeKind.SINGLE_HYPER)
         assert len(hypers) == 1
         assert hypers[0].merged_count == 6
@@ -151,18 +159,18 @@ class TestSingleCompression:
 
     def test_center_never_merged(self):
         center, graph = _fanout_graph(4)
-        compressed = compress_single_transaction_addresses(graph)
+        compressed = _compressed(compress_single_transaction_addresses, graph)
         assert compressed.find_node(NodeKind.ADDRESS, center) is not None
 
     def test_value_bag_preserved(self):
         center, graph = _fanout_graph(5)
-        compressed = compress_single_transaction_addresses(graph)
+        compressed = _compressed(compress_single_transaction_addresses, graph)
         hyper = compressed.nodes_of_kind(NodeKind.SINGLE_HYPER)[0]
         assert len(hyper.values) == 5
 
     def test_total_edge_value_conserved(self):
         _, graph = _fanout_graph(7)
-        compressed = compress_single_transaction_addresses(graph)
+        compressed = _compressed(compress_single_transaction_addresses, graph)
         assert compressed.total_edge_value() == pytest.approx(
             graph.total_edge_value()
         )
@@ -177,7 +185,7 @@ class TestSingleCompression:
             timestamp=3.0,
         )
         graph = build_original_graph(a, [base, spend1, spend2])
-        compressed = compress_single_transaction_addresses(graph)
+        compressed = _compressed(compress_single_transaction_addresses, graph)
         assert compressed.num_nodes == graph.num_nodes
 
 
@@ -215,7 +223,9 @@ def _pool_like_graph(n_members: int = 6, n_txs: int = 3):
 class TestMultiCompression:
     def test_similarity_matrix_semantics(self):
         center, members, graph = _pool_like_graph(5, 3)
-        multi_ids, tx_ids, shared, similarity = similarity_matrices(graph)
+        multi_ids, tx_ids, shared, similarity = similarity_matrices(
+            to_array_graph(graph)
+        )
         # Every member co-occurs in all 3 payout txs.
         assert len(multi_ids) == 5
         assert np.all(np.diag(shared) == 3)
@@ -223,7 +233,9 @@ class TestMultiCompression:
 
     def test_merges_pool_members(self):
         center, members, graph = _pool_like_graph(6, 3)
-        compressed = compress_multi_transaction_addresses(graph, psi=0.6, sigma=2)
+        compressed = _compressed(
+            compress_multi_transaction_addresses, graph, psi=0.6, sigma=2
+        )
         hypers = compressed.nodes_of_kind(NodeKind.MULTI_HYPER)
         assert len(hypers) == 1
         assert hypers[0].merged_count == 6
@@ -231,11 +243,14 @@ class TestMultiCompression:
     def test_sigma_gates_merging(self):
         center, members, graph = _pool_like_graph(4, 3)
         # sigma above group size: no merge.
-        unchanged = compress_multi_transaction_addresses(graph, psi=0.6, sigma=10)
+        unchanged = _compressed(
+            compress_multi_transaction_addresses, graph, psi=0.6, sigma=10
+        )
         assert not unchanged.nodes_of_kind(NodeKind.MULTI_HYPER)
 
     def test_psi_threshold_validated(self):
-        _, _, graph = _pool_like_graph(3, 2)
+        _, _, objects = _pool_like_graph(3, 2)
+        graph = to_array_graph(objects)
         with pytest.raises(ValidationError):
             compress_multi_transaction_addresses(graph, psi=0.0)
         with pytest.raises(ValidationError):
@@ -243,14 +258,14 @@ class TestMultiCompression:
 
     def test_value_conserved(self):
         _, _, graph = _pool_like_graph(5, 3)
-        compressed = compress_multi_transaction_addresses(graph)
+        compressed = _compressed(compress_multi_transaction_addresses, graph)
         assert compressed.total_edge_value() == pytest.approx(
             graph.total_edge_value()
         )
 
     def test_center_survives(self):
         center, _, graph = _pool_like_graph(5, 3)
-        compressed = compress_multi_transaction_addresses(graph)
+        compressed = _compressed(compress_multi_transaction_addresses, graph)
         assert compressed.find_node(NodeKind.ADDRESS, center) is not None
 
 
@@ -342,14 +357,13 @@ class TestCentralityOracle:
 
 class TestAugmentation:
     def test_attaches_centrality(self):
-        _, graph = _fanout_graph(4)
-        augment_graph(graph)
-        for node in graph.nodes:
-            assert node.centrality is not None
-            assert node.centrality.shape == (4,)
+        _, objects = _fanout_graph(4)
+        graph = augment_graph(to_array_graph(objects))
+        assert graph.centrality.shape == (graph.num_nodes, 4)
 
     def test_feature_matrix_includes_centrality(self):
-        _, graph = _fanout_graph(4)
+        _, objects = _fanout_graph(4)
+        graph = to_array_graph(objects)
         before = graph.feature_matrix().copy()
         augment_graph(graph)
         after = graph.feature_matrix()
@@ -359,14 +373,14 @@ class TestAugmentation:
 class TestNormalizedAdjacency:
     def test_symmetric_and_bounded(self):
         _, graph = _fanout_graph(5)
-        matrix = normalized_adjacency(graph).toarray()
+        matrix = normalized_adjacency(to_array_graph(graph)).toarray()
         np.testing.assert_allclose(matrix, matrix.T, atol=1e-12)
         eigenvalues = np.linalg.eigvalsh(matrix)
         assert eigenvalues.max() <= 1.0 + 1e-9
 
     def test_self_loops_present(self):
         _, graph = _fanout_graph(3)
-        matrix = normalized_adjacency(graph).toarray()
+        matrix = normalized_adjacency(to_array_graph(graph)).toarray()
         assert np.all(np.diag(matrix) > 0)
 
 
@@ -396,7 +410,7 @@ class TestPipeline:
     def test_builds_and_times_all_stages(self, mini_world_index):
         index, center = mini_world_index
         pipeline = GraphConstructionPipeline(GraphPipelineConfig(slice_size=5))
-        graphs = pipeline.build(index, center)
+        graphs = pipeline.build_many(index, [center])[center]
         assert len(graphs) == 2  # 10 txs at slice 5
         for name in STAGE_NAMES:
             assert name in pipeline.timer.totals
@@ -406,7 +420,7 @@ class TestPipeline:
     def test_slice_indexes_ordered(self, mini_world_index):
         index, center = mini_world_index
         pipeline = GraphConstructionPipeline(GraphPipelineConfig(slice_size=3))
-        graphs = pipeline.build(index, center)
+        graphs = pipeline.build_many(index, [center])[center]
         assert [g.slice_index for g in graphs] == list(range(len(graphs)))
 
     def test_disable_stages(self, mini_world_index):
@@ -419,7 +433,7 @@ class TestPipeline:
                 enable_augmentation=False,
             )
         )
-        graphs = pipeline.build(index, center)
+        graphs = pipeline.build_many(index, [center])[center]
         assert STAGE_NAMES[0] in pipeline.timer.totals
         assert STAGE_NAMES[1] not in pipeline.timer.totals
         assert all(g.centrality is None for g in graphs)
@@ -427,14 +441,14 @@ class TestPipeline:
         assert all(
             node.centrality is None
             for g in graphs
-            for node in g.to_address_graph().nodes
+            for node in to_address_graph(g).nodes
         )
 
     def test_unknown_address_raises(self, mini_world_index):
         index, _ = mini_world_index
         pipeline = GraphConstructionPipeline()
         with pytest.raises(GraphConstructionError):
-            pipeline.build(index, AddressFactory(123).new_address())
+            pipeline.build_many(index, [AddressFactory(123).new_address()])
 
     def test_build_many(self, mini_world_index):
         index, center = mini_world_index
@@ -448,7 +462,7 @@ class TestPipeline:
         covers several slices of an address."""
         index, center = mini_world_index
         pipeline = GraphConstructionPipeline(GraphPipelineConfig(slice_size=5))
-        graphs = pipeline.build(index, center)
+        graphs = pipeline.build_many(index, [center])[center]
         assert len(graphs) == 2
         report = {row["stage"]: row for row in pipeline.stage_report()}
         for name in STAGE_NAMES:
@@ -457,18 +471,21 @@ class TestPipeline:
             assert row["mean_seconds"] * row["entries"] == pytest.approx(
                 row["total_seconds"]
             )
-        # A second address accumulates further per-graph entries.
-        pipeline.build(index, center)
+        # A second build accumulates further per-graph entries.
+        pipeline.build_many(index, [center])
         report = {row["stage"]: row for row in pipeline.stage_report()}
         assert report[STAGE_NAMES[0]]["entries"] == 2 * len(graphs)
 
     def test_build_slices_subset_matches_full_build(self, mini_world_index):
         index, center = mini_world_index
         config = GraphPipelineConfig(slice_size=5)
-        full = GraphConstructionPipeline(config).build(index, center)
-        subset = GraphConstructionPipeline(config).build_slices(
-            index, center, [1]
+        full = GraphConstructionPipeline(config).build_many(index, [center])[
+            center
+        ]
+        pack, _ = GraphConstructionPipeline(config).build_pack(
+            index, {center: [1]}
         )
+        subset = pack.graphs()
         assert len(subset) == 1
         assert subset[0].slice_index == 1
         assert subset[0].num_nodes == full[1].num_nodes
@@ -479,23 +496,23 @@ class TestPipeline:
     def test_build_slices_none_builds_all(self, mini_world_index):
         index, center = mini_world_index
         config = GraphPipelineConfig(slice_size=5)
-        all_slices = GraphConstructionPipeline(config).build_slices(
-            index, center
+        pack, _ = GraphConstructionPipeline(config).build_pack(
+            index, {center: None}
         )
-        assert [g.slice_index for g in all_slices] == [0, 1]
+        assert pack.slice_indices == [0, 1]
 
     def test_build_slices_rejects_out_of_range(self, mini_world_index):
         index, center = mini_world_index
         pipeline = GraphConstructionPipeline(GraphPipelineConfig(slice_size=5))
         with pytest.raises(ValidationError):
-            pipeline.build_slices(index, center, [99])
+            pipeline.build_pack(index, {center: [99]})
 
 
 class TestFlatten:
     def test_dimension(self, mini_world_index):
         index, center = mini_world_index
         pipeline = GraphConstructionPipeline(GraphPipelineConfig(slice_size=5))
-        graphs = pipeline.build(index, center)
+        graphs = pipeline.build_many(index, [center])[center]
         vector = flatten_graphs(graphs)
         assert vector.shape == (3 * NODE_FEATURE_DIM,)
         assert np.all(np.isfinite(vector))
@@ -503,7 +520,7 @@ class TestFlatten:
     def test_single_graph_matches_average(self, mini_world_index):
         index, center = mini_world_index
         pipeline = GraphConstructionPipeline(GraphPipelineConfig(slice_size=5))
-        graphs = pipeline.build(index, center)
+        graphs = pipeline.build_many(index, [center])[center]
         np.testing.assert_allclose(
             flatten_graphs([graphs[0]]), flatten_graph(graphs[0])
         )

@@ -32,6 +32,7 @@ from repro.graphs.extraction import build_original_pack, slice_transactions
 from repro.graphs.model import NodeKind
 from repro.graphs.reference import (
     reference_compress_multi_transaction_addresses,
+    to_address_graph,
 )
 from repro.testing import random_chain
 
@@ -259,7 +260,7 @@ class TestPackParity:
         assert alone.refs[hyper] == "m:tie-a0"
         assert alone.merged_counts[hyper] == 3
         reference = reference_compress_multi_transaction_addresses(
-            tie.to_address_graph(), psi=0.4, sigma=2
+            to_address_graph(tie), psi=0.4, sigma=2
         )
         assert [n.ref for n in reference.nodes] == alone.refs.tolist()
         # Deep in a pack of many rows, the tie resolves the same way.

@@ -33,8 +33,8 @@ from repro.graphs import (
     GraphPipelineConfig,
     augment_graph,
     augment_pack,
-    plan_packs,
 )
+from repro.graphs import augmentation
 from repro.graphs.batched_centrality import DEFAULT_MAX_BATCH_NODES
 from repro.graphs.matrices import normalized_adjacency
 from repro.testing import random_chain
@@ -72,12 +72,15 @@ def _assert_bitwise(actual, expected, what):
     assert actual.tobytes() == expected.tobytes(), what
 
 
-def _check_pack(graphs, max_batch_nodes=DEFAULT_MAX_BATCH_NODES):
-    """Stage 4 + encode over one pack of ``graphs`` (Stage-3 output)
-    equals the per-graph oracles for every depth in ``DEPTHS``."""
+def _check_pack(graphs, budget=DEFAULT_MAX_BATCH_NODES):
+    """Stage 4 (under a ``budget``-node sweep budget) + encode over one
+    pack of ``graphs`` (Stage-3 output) equals the per-graph oracles for
+    every depth in ``DEPTHS``."""
     for k in DEPTHS:
         pack = GraphPack.of(graphs)
-        adjacency = augment_pack(pack, max_batch_nodes)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(augmentation, "DEFAULT_MAX_BATCH_NODES", budget)
+            adjacency = augment_pack(pack)
         encoded = encode_pack(pack, adjacency, gfn_k=k)
         assert len(encoded) == len(graphs)
         for graph, row in zip(graphs, encoded):
@@ -168,9 +171,20 @@ class TestPackedPassParity:
         graphs = _stage3_graphs(14, slice_size=9, num_wallets=4, rounds=10)
         repeats = 1 + 1100 // sum(graph.num_nodes for graph in graphs)
         batch = graphs * repeats
-        sizes = [graph.num_nodes for graph in batch]
-        assert sum(sizes) > DEFAULT_MAX_BATCH_NODES
-        assert len(plan_packs(sizes, size_sort=False)) > 1
+        assert sum(graph.num_nodes for graph in batch) > DEFAULT_MAX_BATCH_NODES
+        sweeps = []
+        sweep = augmentation.centrality_matrix_block_diagonal
+
+        def counted(*args, **kwargs):
+            sweeps.append(args[0].shape[0])
+            return sweep(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                augmentation, "centrality_matrix_block_diagonal", counted
+            )
+            augment_pack(GraphPack.of(batch))
+        assert len(sweeps) > 1
         _check_pack(batch)
 
 

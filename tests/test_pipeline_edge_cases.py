@@ -27,7 +27,6 @@ from repro.graphs import (
     NODE_FEATURE_DIM,
     GraphConstructionPipeline,
     GraphPipelineConfig,
-    extract_array_graphs,
     flatten_graphs,
 )
 from repro.serve import AddressScoringService
@@ -96,13 +95,17 @@ def _pipeline():
     return GraphConstructionPipeline(GraphPipelineConfig(slice_size=SLICE_SIZE))
 
 
+def _graphs(index, address):
+    return _pipeline().build_many(index, [address])[address]
+
+
 class TestEmptyAddress:
     def test_pipeline_raises_cleanly(self, edge_world):
         _, index, addrs = edge_world
         with pytest.raises(GraphConstructionError):
-            _pipeline().build(index, addrs["unknown"])
+            _graphs(index, addrs["unknown"])
         with pytest.raises(GraphConstructionError):
-            extract_array_graphs(index, addrs["unknown"], SLICE_SIZE)
+            _pipeline().build_pack(index, {addrs["unknown"]: None})
 
     def test_service_rejects_with_validation_error(
         self, edge_world, edge_service
@@ -121,7 +124,7 @@ class TestEmptyAddress:
 class TestSingleTransactionSlice:
     def test_well_formed_graph(self, edge_world):
         _, index, addrs = edge_world
-        graphs = _pipeline().build(index, addrs["single"])
+        graphs = _graphs(index, addrs["single"])
         assert len(graphs) == 1
         graph = graphs[0]
         assert graph.num_nodes > 0
@@ -135,8 +138,8 @@ class TestSingleTransactionSlice:
 
     def test_build_slices_subset(self, edge_world):
         _, index, addrs = edge_world
-        graphs = _pipeline().build_slices(index, addrs["single"], [0])
-        assert [g.slice_index for g in graphs] == [0]
+        pack, _ = _pipeline().build_pack(index, {addrs["single"]: [0]})
+        assert pack.slice_indices == [0]
 
     def test_scoreable(self, edge_world, edge_service):
         _, _, addrs = edge_world
@@ -150,8 +153,8 @@ class TestSameTimestampHistory:
         """Every transaction of `burst` shares one timestamp: two
         independent builds must slice and structure identically."""
         _, index, addrs = edge_world
-        first = _pipeline().build(index, addrs["burst"])
-        second = _pipeline().build(index, addrs["burst"])
+        first = _graphs(index, addrs["burst"])
+        second = _graphs(index, addrs["burst"])
         assert len(first) == len(second) == 2  # 3 txs at slice size 2
         for a, b in zip(first, second):
             assert a.time_range == b.time_range
@@ -163,7 +166,7 @@ class TestSameTimestampHistory:
 
     def test_single_timestamp_time_ranges(self, edge_world):
         _, index, addrs = edge_world
-        for graph in _pipeline().build(index, addrs["burst"]):
+        for graph in _graphs(index, addrs["burst"]):
             assert graph.time_range == (5000.0, 5000.0)
             np.testing.assert_array_equal(graph.edge_times, 5000.0)
 
@@ -179,7 +182,7 @@ class TestOutputOnlyAddress:
         """`burst` never appears on an input side: graphs stay well
         formed and flattening handles the empty output-side mean."""
         _, index, addrs = edge_world
-        graphs = _pipeline().build(index, addrs["burst"])
+        graphs = _graphs(index, addrs["burst"])
         for graph in graphs:
             center = graph.center_node_id()
             assert center is not None

@@ -109,7 +109,8 @@ class TestCacheUnit:
         pipeline = GraphConstructionPipeline(
             GraphPipelineConfig(slice_size=SLICE_SIZE)
         )
-        return [encode_graph(g) for g in pipeline.build(index, address)]
+        graphs = pipeline.build_many(index, [address])[address]
+        return [encode_graph(g) for g in graphs]
 
     def test_put_get_and_stats(self, setup):
         _, _, addresses = setup
@@ -160,7 +161,7 @@ class TestCacheArrayPayloads:
         pipeline = GraphConstructionPipeline(
             GraphPipelineConfig(slice_size=SLICE_SIZE)
         )
-        return pipeline.build(index, address)
+        return pipeline.build_many(index, [address])[address]
 
     def test_put_get_and_stats_accurate(self, setup):
         _, index, addresses = setup
@@ -235,7 +236,8 @@ class TestCacheArrayPayloads:
         pipeline = GraphConstructionPipeline(
             GraphPipelineConfig(slice_size=SLICE_SIZE)
         )
-        encoded = encode_graph(pipeline.build(index, addresses[0])[0])
+        built = pipeline.build_many(index, [addresses[0]])
+        encoded = encode_graph(built[addresses[0]][0])
         cache = SliceGraphCache(capacity=4)
         cache.put((addresses[0], 0, "fp"), encoded)
         before = cache.nbytes

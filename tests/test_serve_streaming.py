@@ -243,6 +243,65 @@ class TestPerShardLocking:
         finally:
             cluster.close()
 
+    def test_concurrent_cold_builds_of_one_shard(self, economy, monkeypatch):
+        """Inline construction takes no per-shard lock: two queries with
+        overlapping misses on one shard build at the same time (each
+        waits inside the build for the other), and their scores equal a
+        serial from-scratch run."""
+        _, _, addresses, _, _ = economy
+        half = len(addresses) // 2
+        requests = [addresses[: half + 2], addresses[half - 2 :]]
+        serial = _cluster(economy, num_shards=1, num_workers=0)
+        try:
+            expected = serial.score(addresses)
+        finally:
+            serial.close()
+
+        import repro.serve.cluster as cluster_module
+
+        both_building = threading.Barrier(2, timeout=30)
+        build_encoded = cluster_module.build_encoded
+
+        def overlapping_build(*args, **kwargs):
+            both_building.wait()
+            return build_encoded(*args, **kwargs)
+
+        monkeypatch.setattr(
+            cluster_module, "build_encoded", overlapping_build
+        )
+        cluster = _cluster(
+            economy, num_shards=1, num_workers=0, micro_batch=False
+        )
+        try:
+            results = [None, None]
+            errors = []
+
+            def run(slot):
+                try:
+                    results[slot] = cluster.score(requests[slot])
+                except Exception as error:  # pragma: no cover
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=run, args=(slot,)) for slot in (0, 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            for request, scores in zip(requests, results):
+                for address in request:
+                    np.testing.assert_allclose(
+                        scores[address].probabilities,
+                        expected[address].probabilities,
+                        rtol=1e-9,
+                        atol=1e-9,
+                    )
+        finally:
+            cluster.close()
+
     def test_append_during_inflight_query_linearizes(self, economy):
         """An append racing a query's build forces a re-plan: the query
         returns post-append scores, never a stale/fresh mix."""

@@ -30,7 +30,6 @@ from repro.features import (
     sfe_vector,
 )
 from repro.graphs import (
-    AddressGraph,
     NodeKind,
     augment_graph,
     betweenness_centrality,
@@ -44,6 +43,7 @@ from repro.graphs import (
     similarity_matrices,
 )
 from repro.graphs.reference import (
+    AddressGraph,
     reference_betweenness_centrality,
     reference_centrality_matrix,
     reference_closeness_centrality,
@@ -53,6 +53,8 @@ from repro.graphs.reference import (
     reference_extract_address_features,
     reference_pagerank_centrality,
     reference_similarity_matrices,
+    to_address_graph,
+    to_array_graph,
 )
 
 
@@ -204,23 +206,23 @@ class TestCompressionParity:
     @pytest.mark.parametrize("seed", range(40))
     def test_single_then_multi_identical(self, seed):
         graph = _random_address_graph(seed)
-        single = compress_single_transaction_addresses(copy.deepcopy(graph))
+        single = compress_single_transaction_addresses(to_array_graph(graph))
         reference_single = reference_compress_single_transaction_addresses(
             copy.deepcopy(graph)
         )
-        _assert_graphs_identical(single, reference_single)
-        multi = compress_multi_transaction_addresses(
-            copy.deepcopy(single), psi=0.4, sigma=1
-        )
+        _assert_graphs_identical(to_address_graph(single), reference_single)
+        multi = compress_multi_transaction_addresses(single, psi=0.4, sigma=1)
         reference_multi = reference_compress_multi_transaction_addresses(
             copy.deepcopy(reference_single), psi=0.4, sigma=1
         )
-        _assert_graphs_identical(multi, reference_multi)
+        _assert_graphs_identical(to_address_graph(multi), reference_multi)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_similarity_matrices_identical(self, seed):
         graph = _random_address_graph(seed)
-        multi_ids, tx_ids, shared, similarity = similarity_matrices(graph)
+        multi_ids, tx_ids, shared, similarity = similarity_matrices(
+            to_array_graph(graph)
+        )
         (
             reference_multi_ids,
             reference_tx_ids,
@@ -233,8 +235,9 @@ class TestCompressionParity:
         np.testing.assert_array_equal(similarity, reference_similarity)
 
     def test_edgeless_graph_is_noop(self):
-        graph = AddressGraph(center_address="center")
-        graph.add_node(NodeKind.ADDRESS, "center")
+        objects = AddressGraph(center_address="center")
+        objects.add_node(NodeKind.ADDRESS, "center")
+        graph = to_array_graph(objects)
         assert compress_single_transaction_addresses(graph) is graph
         assert compress_multi_transaction_addresses(graph) is graph
 
@@ -308,10 +311,10 @@ class TestFeatureParity:
     def test_feature_matrix_matches_per_node_feature_vector(self, raw):
         """The columnar feature_matrix assembly must agree with the
         per-node feature_vector contract it documents."""
-        graph = _random_address_graph(9)
-        augment_graph(graph)
+        arrays = augment_graph(to_array_graph(_random_address_graph(9)))
+        graph = to_address_graph(arrays)
         center = graph.center_node_id()
-        matrix = graph.feature_matrix(raw=raw)
+        matrix = arrays.feature_matrix(raw=raw)
         for node in graph.nodes:
             np.testing.assert_allclose(
                 matrix[node.node_id],
@@ -371,16 +374,15 @@ class TestFeatureParity:
 
 class TestAugmentationRegression:
     def test_empty_graph_is_noop(self):
-        graph = AddressGraph(center_address="nobody")
+        graph = to_array_graph(AddressGraph(center_address="nobody"))
         result = augment_graph(graph)
         assert result is graph
         assert result.num_nodes == 0
 
     def test_matches_reference_centralities(self):
         graph = _random_address_graph(5)
-        augment_graph(graph)
+        arrays = augment_graph(to_array_graph(graph))
         expected = reference_centrality_matrix(graph.adjacency_lists())
-        for node in graph.nodes:
-            np.testing.assert_allclose(
-                node.centrality, expected[node.node_id], rtol=1e-9, atol=1e-9
-            )
+        np.testing.assert_allclose(
+            arrays.centrality, expected, rtol=1e-9, atol=1e-9
+        )
