@@ -62,13 +62,13 @@ from repro.graphs import (
     augment_graph,
     augment_pack,
     centrality_matrix,
-    slice_transactions,
 )
 from repro.graphs.reference import (
     build_original_graph,
     reference_centrality_matrix,
     reference_compress_multi_transaction_addresses,
     reference_compress_single_transaction_addresses,
+    slice_transactions,
 )
 from repro.serve import SliceGraphCache
 

@@ -17,7 +17,7 @@ from repro.chain.block import Block
 from repro.chain.chain import Blockchain
 from repro.chain.transaction import Transaction
 
-__all__ = ["TxRecord", "TxArrays", "ChainIndex", "attach_index"]
+__all__ = ["TxRecord", "TxArrays", "ChainIndex", "attach_index", "slice_order"]
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,9 @@ class TxArrays:
     The columnar counterpart of walking ``tx.inputs`` / ``tx.outputs``:
     participant *node keys* (interned integers — see
     :meth:`ChainIndex.node_names` for the encoding) plus the transferred
-    values, ready for ndarray assembly.  Instances are immutable and
-    cached per txid on the :class:`ChainIndex`, so the cost of touching
-    a transaction's Python objects is paid once no matter how many
-    address graphs include it.
+    values, ready for ndarray assembly.  Instances are immutable: the
+    in-memory :class:`ChainIndex` interns them once per transaction at
+    ingest, and the chain store reads them from its mapped columns.
     """
 
     __slots__ = (
@@ -79,6 +78,19 @@ class TxArrays:
         self.input_values = input_values
         self.output_keys = output_keys
         self.output_values = output_values
+
+
+def slice_order(
+    timestamps: Sequence[float], txids: Sequence[str]
+) -> np.ndarray:
+    """Positions of an address's transactions in slice order.
+
+    Stage 1 cuts an address's history into slices in this order (paper
+    §III-A-1): by timestamp, ties broken by txid.  Both index kinds'
+    ``transaction_columns_of`` sort through it, so the order is decided
+    here alone.
+    """
+    return np.lexsort((np.asarray(txids), np.asarray(timestamps)))
 
 
 class _BothFilters:
@@ -125,13 +137,12 @@ class ChainIndex:
         self._tx_height: Dict[str, int] = {}
         self._records: Dict[str, List[TxRecord]] = {}
         self._first_seen: Dict[str, float] = {}
-        # Interned node-key columns (lazy; transactions are immutable so
-        # cached entries never invalidate on append).
+        # Interned node-key columns, filled at ingest (transactions are
+        # immutable, so entries never invalidate on append).
         self._address_ids: Dict[str, int] = {}
         self._address_names: List[str] = []
-        self._tx_ids: Dict[str, int] = {}
         self._tx_names: List[str] = []
-        self._tx_arrays: Dict[str, TxArrays] = {}
+        self._tx_columns: Dict[str, TxArrays] = {}
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -143,6 +154,10 @@ class ChainIndex:
             self._ingest(tx, block.height)
 
     def _ingest(self, tx: Transaction, height: int) -> None:
+        # Columns first: a build racing this ingest must never see a
+        # record whose transaction has no columns yet.
+        if tx.txid not in self._tx_columns:
+            self._tx_columns[tx.txid] = self._intern(tx)
         self._tx_by_id[tx.txid] = tx
         self._tx_height[tx.txid] = height
         for address in tx.addresses():
@@ -158,6 +173,39 @@ class ChainIndex:
             )
             self._records.setdefault(address, []).append(record)
             self._first_seen.setdefault(address, tx.timestamp)
+
+    def _intern(self, tx: Transaction) -> TxArrays:
+        """``tx``'s columns, interning its txid and any new addresses.
+
+        Keys are handed out in ingestion order — the transaction first,
+        then its addresses, inputs before outputs — which is the chain
+        store's own numbering, so both index kinds give a transaction
+        the same keys.
+        """
+        ids = self._address_ids
+        names = self._address_names
+        for party in tx.inputs + tx.outputs:
+            if party.address not in ids:
+                ids[party.address] = 2 * len(names)
+                names.append(party.address)
+        key = 2 * len(self._tx_names) + 1
+        self._tx_names.append(tx.txid)
+        return TxArrays(
+            key=key,
+            timestamp=tx.timestamp,
+            input_keys=np.array(
+                [ids[inp.address] for inp in tx.inputs], dtype=np.int64
+            ),
+            input_values=np.array(
+                [inp.value for inp in tx.inputs], dtype=np.float64
+            ),
+            output_keys=np.array(
+                [ids[out.address] for out in tx.outputs], dtype=np.int64
+            ),
+            output_values=np.array(
+                [out.value for out in tx.outputs], dtype=np.float64
+            ),
+        )
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -247,17 +295,22 @@ class ChainIndex:
         record order, :meth:`first_seen` and :meth:`known_addresses`
         order are exactly what a replay would give.  The slice's filter
         is this index's filter AND ``address_filter``, so a slice of a
-        slice holds what both accept.  The copy is independent from
-        this index afterwards — no record list is shared, and the
-        interning and column memos start empty: feed it future blocks
-        via :meth:`on_block` (the cluster layer does) or rebuild it
-        when it goes stale.
+        slice holds what both accept.  The interning tables are copied
+        too, sharing the immutable :class:`TxArrays`, so node keys agree
+        with this index's.  The copy is independent from this index
+        afterwards — no record list or table is shared: feed it future
+        blocks via :meth:`on_block` (the cluster layer does) or rebuild
+        it when it goes stale.
         """
         shard = ChainIndex(
             compose_filters(self.address_filter, address_filter)
         )
         shard._tx_by_id = dict(self._tx_by_id)
         shard._tx_height = dict(self._tx_height)
+        shard._address_ids = dict(self._address_ids)
+        shard._address_names = list(self._address_names)
+        shard._tx_names = list(self._tx_names)
+        shard._tx_columns = dict(self._tx_columns)
         first_seen = self._first_seen
         for address, records in self._records.items():
             if address_filter(address):
@@ -277,72 +330,33 @@ class ChainIndex:
     # Columnar access (graph construction fast path)
     # ------------------------------------------------------------------ #
 
-    def address_key(self, address: str) -> int:
-        """The interned node key of ``address`` (stable per index).
+    def address_key(self, address: str) -> Optional[int]:
+        """The interned node key of ``address``, or ``None`` if unknown.
 
         Address keys are even (``2 * id``) and transaction keys odd
         (``2 * id + 1``), so one integer column can mix both node kinds
-        without collisions — the layout consumed by the Stage-1 array
-        extractor.
+        without collisions — the layout consumed by the Stage-1
+        builder.
         """
-        key = self._address_ids.get(address)
-        if key is None:
-            key = 2 * len(self._address_names)
-            self._address_ids[address] = key
-            self._address_names.append(address)
-        return key
+        return self._address_ids.get(address)
 
-    def transaction_arrays(self, tx: Transaction) -> TxArrays:
-        """The cached :class:`TxArrays` columns of ``tx``.
-
-        Built on first request and memoised by txid; shared across every
-        address graph that includes the transaction.  The memo lives for
-        the lifetime of the index and is unbounded (transactions are
-        immutable, so entries never invalidate) — a long-lived index
-        driving column-path construction over a huge chain should call
-        :meth:`clear_transaction_arrays` between corpus sweeps to bound
-        memory.
-        """
-        columns = self._tx_arrays.get(tx.txid)
-        if columns is None:
-            tx_key = self._tx_ids.get(tx.txid)
-            if tx_key is None:
-                tx_key = 2 * len(self._tx_names) + 1
-                self._tx_ids[tx.txid] = tx_key
-                self._tx_names.append(tx.txid)
-            address_key = self.address_key
-            columns = TxArrays(
-                key=tx_key,
-                timestamp=tx.timestamp,
-                input_keys=np.array(
-                    [address_key(inp.address) for inp in tx.inputs],
-                    dtype=np.int64,
-                ),
-                input_values=np.array(
-                    [inp.value for inp in tx.inputs], dtype=np.float64
-                ),
-                output_keys=np.array(
-                    [address_key(out.address) for out in tx.outputs],
-                    dtype=np.int64,
-                ),
-                output_values=np.array(
-                    [out.value for out in tx.outputs], dtype=np.float64
-                ),
-            )
-            self._tx_arrays[tx.txid] = columns
-        return columns
-
-    def clear_transaction_arrays(self) -> None:
-        """Drop the per-transaction column memo (interning is kept —
-        node keys handed out earlier stay valid)."""
-        self._tx_arrays.clear()
+    def transaction_columns_of(self, address: str) -> List[TxArrays]:
+        """All of ``address``'s transactions as :class:`TxArrays`, in
+        :func:`slice_order` — Stage 1's input."""
+        records = tuple(self._records.get(address, ()))
+        order = slice_order(
+            [record.timestamp for record in records],
+            [record.txid for record in records],
+        )
+        columns = self._tx_columns
+        return [columns[records[i].txid] for i in order.tolist()]
 
     def resident_nbytes(self) -> int:
         """Estimated resident heap bytes held by this index.
 
         A deterministic ``sys.getsizeof`` walk over the transaction
-        objects, per-address records, interning tables and the column
-        memo (each distinct object counted once).  An estimate — Python
+        objects, per-address records, interning tables and interned
+        columns (each distinct object counted once).  An estimate — Python
         object overhead is approximated, shared objects held by *other*
         indexes still count here — but consistent across index flavors,
         which is what the serving benchmarks compare: a deep-copied
@@ -372,9 +386,8 @@ class ChainIndex:
             self._first_seen,
             self._address_ids,
             self._address_names,
-            self._tx_ids,
             self._tx_names,
-            self._tx_arrays,
+            self._tx_columns,
         ):
             total += size(table)
         for txid, tx in self._tx_by_id.items():
@@ -388,7 +401,7 @@ class ChainIndex:
             total += size(address) + size(records)
             for record in records:
                 total += size(record) + size(record.txid)
-        for columns in self._tx_arrays.values():
+        for columns in self._tx_columns.values():
             total += size(columns)
             total += columns.input_keys.nbytes + columns.input_values.nbytes
             total += columns.output_keys.nbytes + columns.output_values.nbytes
@@ -398,7 +411,7 @@ class ChainIndex:
         """Decode interned node keys back to reference strings.
 
         Even keys decode to addresses, odd keys to txids — the inverse
-        of :meth:`address_key` / :meth:`transaction_arrays`.
+        of the interning done at ingest.
         """
         address_names = self._address_names
         tx_names = self._tx_names

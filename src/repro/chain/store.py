@@ -3,8 +3,8 @@
 Everything upstream of this module assumes the whole chain lives in
 memory as Python ``Transaction`` objects; corpus-scale datasets
 (10^5 - 10^6 addresses) do not fit that way.  :class:`ChainStore`
-persists the interned transaction columns that
-:meth:`~repro.chain.explorer.ChainIndex.transaction_arrays` produces —
+persists the interned transaction columns
+(:class:`~repro.chain.explorer.TxArrays`) the in-memory index keeps —
 participant node keys, values, timestamps, heights, plus the address/tx
 id mappings — as flat ``.npy`` segments that readers open with
 ``np.load(..., mmap_mode="r")``, so a cluster shard worker maps its
@@ -30,8 +30,9 @@ Segment layout (all files live flat in the store directory)::
 Interning matches the in-memory index exactly: address keys are even
 (``2 * id``), transaction keys odd (``2 * id + 1``), ids are assigned in
 ingestion order, inputs before outputs within a transaction — so a
-store synced from a fresh index yields *identical* column values to
-walking that index's :meth:`transaction_arrays` in ingestion order.
+store synced from an index yields *identical* columns, keys included,
+to that index's
+:meth:`~repro.chain.explorer.ChainIndex.transaction_columns_of`.
 
 Commit protocol (mirrors ``CacheStore``'s torn-bundle discipline): every
 file is written to a ``.tmp`` sibling and ``os.replace``d into place;
@@ -71,6 +72,7 @@ from repro.chain.explorer import (
     TxArrays,
     TxRecord,
     compose_filters,
+    slice_order,
 )
 from repro.chain.serialize import transaction_from_columns
 from repro.chain.transaction import Transaction
@@ -612,10 +614,10 @@ class StoreBackedChainIndex(ChainIndex):
     slice is ``sharded(...)`` of a store-backed index, sharing the
     underlying maps).
 
-    Column reads never populate the in-memory ``TxArrays`` memo — the
-    mapped segments *are* the cache, so a corpus sweep's resident
-    footprint stays flat at the per-address adjacency (two int64 per
-    membership record) plus the shard-membership verdict cache.
+    Its inherited interning tables stay empty — the mapped segments
+    hold the columns, so a corpus sweep's resident footprint stays flat
+    at the per-address adjacency (two int64 per membership record) plus
+    the shard-membership verdict cache.
     """
 
     def __init__(
@@ -903,56 +905,26 @@ class StoreBackedChainIndex(ChainIndex):
         segment, rows = positions[0]
         return float(segment.arrays["timestamps"][rows[0]])
 
-    def address_key(self, address: str) -> int:
-        """The interned node key of ``address`` (read-only lookup —
-        unlike the in-memory index, an unknown address raises instead
-        of interning a fresh key)."""
+    def address_key(self, address: str) -> Optional[int]:
+        """The interned node key of ``address``, or ``None`` if the
+        store does not hold it."""
         address_id = self._store.address_id(address)
-        if address_id is None:
-            raise ChainStoreError(
-                f"address {address[:12]}… is not in the chain store "
-                "(store-backed interning is read-only)"
-            )
-        return 2 * address_id
-
-    def transaction_arrays(self, tx: Transaction) -> TxArrays:
-        """Mapped-column :class:`TxArrays` view of a stored transaction.
-
-        Reads straight from the segment maps (zero-copy views); nothing
-        is memoised in-process, and an unstored transaction raises —
-        store-backed indexes never intern."""
-        tx_id = self._store.tx_id(tx.txid)
-        if tx_id is None:
-            raise ChainStoreError(
-                f"transaction {tx.txid[:12]}… is not in the chain store "
-                "(store-backed interning is read-only)"
-            )
-        return self._arrays_at(*self._store.tx_location(tx_id))
-
-    def clear_transaction_arrays(self) -> None:
-        """No-op: store-backed column reads are served straight from the
-        maps and never populate the in-process memo."""
+        return None if address_id is None else 2 * address_id
 
     def transaction_columns_of(self, address: str) -> List[TxArrays]:
         """All of ``address``'s transactions as mapped-column
-        :class:`TxArrays`, sorted by ``(timestamp, txid)`` — the exact
-        order :func:`~repro.graphs.extraction.slice_transactions`
-        produces, ready for slicing without touching Python
-        ``Transaction`` objects."""
+        :class:`TxArrays`, in
+        :func:`~repro.chain.explorer.slice_order`, without touching
+        Python ``Transaction`` objects."""
         located = [
             (segment, int(row))
             for segment, rows in self._positions_for(address)
             for row in rows
         ]
-        if not located:
-            return []
-        timestamps = np.array(
-            [float(seg.arrays["timestamps"][row]) for seg, row in located]
+        order = slice_order(
+            [float(seg.arrays["timestamps"][row]) for seg, row in located],
+            [str(seg.arrays["tx_names"][row]) for seg, row in located],
         )
-        txids = np.array(
-            [str(seg.arrays["tx_names"][row]) for seg, row in located]
-        )
-        order = np.lexsort((txids, timestamps))
         return [self._arrays_at(*located[i]) for i in order.tolist()]
 
     def _arrays_at(self, segment: _Segment, row: int) -> TxArrays:

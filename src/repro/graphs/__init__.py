@@ -43,7 +43,7 @@ from repro.graphs.compression import (
     compress_single_transaction_pack,
     similarity_matrices,
 )
-from repro.graphs.extraction import build_original_pack, slice_transactions
+from repro.graphs.extraction import build_original_pack
 from repro.graphs.flatten import (
     FLAT_FEATURE_DIM,
     flatten_dataset,
@@ -81,7 +81,6 @@ __all__ = [
     "compress_single_transaction_pack",
     "similarity_matrices",
     "build_original_pack",
-    "slice_transactions",
     "FLAT_FEATURE_DIM",
     "flatten_dataset",
     "flatten_graph",

@@ -328,6 +328,8 @@ class GraphPack:
     @classmethod
     def of(cls, graphs: Sequence[ArrayGraph]) -> "GraphPack":
         """Pack ``graphs`` (in order) into one node space."""
+        if not graphs:
+            raise ValidationError("cannot pack zero graphs")
         with_centrality = sum(g.centrality is not None for g in graphs)
         if 0 < with_centrality < len(graphs):
             raise ValidationError(

@@ -8,7 +8,7 @@ timer.
 
 The pipeline runs natively on columnar arrays, and each stage runs once
 per build over every slice graph of the call: Stage 1 builds all of
-them from the transaction slices into one
+them from the slices' transaction columns into one
 :class:`~repro.graphs.arrays.GraphPack` (one global node space with
 per-graph offsets), Stages 2–3 compress the pack in one pass each
 (array union-find + ``bincount`` aggregation, no per-graph loop), and
@@ -43,11 +43,7 @@ from repro.graphs.compression import (
     compress_single_transaction_pack,
 )
 from repro.graphs.arrays import ArrayGraph, GraphPack
-from repro.graphs.extraction import (
-    build_arrays_from_columns,
-    build_original_pack,
-    slice_transactions,
-)
+from repro.graphs.extraction import build_original_pack
 from repro.utils.timer import StageTimer
 
 __all__ = [
@@ -156,19 +152,14 @@ class GraphConstructionPipeline:
         """Stage 1 for every requested slice, as one pack.
 
         Returns the pack (``None`` when nothing was requested); its
-        graphs follow request order, slices ascending.  Two column
-        sources feed the extraction: the default path slices
-        Python ``Transaction`` objects and builds every slice of the
-        call in one :func:`build_original_pack` pass; a store-backed
-        index (one exposing ``transaction_columns_of``) is sliced
-        straight from its mapped, pre-sorted
-        :class:`~repro.chain.explorer.TxArrays` columns, each slice
-        built with
-        :func:`~repro.graphs.extraction.build_arrays_from_columns` and
-        then packed — identical output, no materialised transaction
-        objects.
+        graphs follow request order, slices ascending.  Each address's
+        history comes from the index as
+        :class:`~repro.chain.explorer.TxArrays` columns in slice order
+        (:meth:`~repro.chain.explorer.ChainIndex.transaction_columns_of`,
+        interned at ingest in memory, mapped by the chain store), and
+        one :func:`build_original_pack` pass builds every slice of the
+        call.
         """
-        columns_of = getattr(index, "transaction_columns_of", None)
         size = self.config.slice_size
         centers: List[str] = []
         chunks: list = []
@@ -176,26 +167,20 @@ class GraphConstructionPipeline:
         prep_seconds = 0.0
         for address, slice_indices in requests.items():
             start = time.perf_counter()
-            if columns_of is not None:
-                history = columns_of(address)
-                slices = [
-                    history[s: s + size] for s in range(0, len(history), size)
-                ]
-            else:
-                history = index.transactions_of(address)
-                slices = slice_transactions(history, size)
+            history = index.transaction_columns_of(address)
             if not history:
                 raise GraphConstructionError(
                     f"address {address[:12]} has no transactions on chain"
                 )
+            num_slices = -(-len(history) // size)
             if slice_indices is None:
-                wanted = list(range(len(slices)))
+                wanted = list(range(num_slices))
             else:
                 wanted = sorted(set(int(i) for i in slice_indices))
                 for i in wanted:
-                    if not 0 <= i < len(slices):
+                    if not 0 <= i < num_slices:
                         raise ValidationError(
-                            f"slice index {i} out of range [0, {len(slices)})"
+                            f"slice index {i} out of range [0, {num_slices})"
                             f" for {address[:12]}"
                         )
             # Fetch/slicing spans the whole history, so a partial rebuild
@@ -203,27 +188,15 @@ class GraphConstructionPipeline:
             # mean (Table V) comparable between full and incremental
             # builds.
             prep_seconds += (
-                (time.perf_counter() - start) * len(wanted) / len(slices)
+                (time.perf_counter() - start) * len(wanted) / num_slices
             )
             centers.extend([address] * len(wanted))
-            chunks.extend(slices[i] for i in wanted)
+            chunks.extend(history[i * size: (i + 1) * size] for i in wanted)
             wanted_indices.extend(wanted)
         start = time.perf_counter()
         if not chunks:
             return None
-        if columns_of is not None:
-            pack = GraphPack.of(
-                [
-                    build_arrays_from_columns(
-                        index, center, chunk, slice_index=i
-                    )
-                    for center, chunk, i in zip(
-                        centers, chunks, wanted_indices
-                    )
-                ]
-            )
-        else:
-            pack = build_original_pack(centers, chunks, wanted_indices)
+        pack = build_original_pack(index, centers, chunks, wanted_indices)
         # Stage 1 covers fetch + chronological slicing + construction.
         self.timer.add(
             STAGE_NAMES[0],

@@ -7,7 +7,8 @@ readable per-node/per-edge formulation the columnar code is held to:
 
 - **The object model** — :class:`AddressGraph` holding one
   :class:`GraphNode` / :class:`GraphEdge` per node/edge, the object
-  Stage-1 builder :func:`build_original_graph`, and the conversions
+  Stage-1 builder :func:`build_original_graph` over the transaction
+  slices of :func:`slice_transactions`, and the conversions
   :func:`to_array_graph` / :func:`to_address_graph`.  The conversions
   round-trip exactly on every structural column (kinds, refs, merge
   counts, value bags, edges, centrality); only ``edge_times`` is lost,
@@ -37,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.chain.explorer import slice_order
 from repro.chain.transaction import Transaction
 from repro.errors import GraphConstructionError, ValidationError
 from repro.features.sfe import sfe_matrix, sfe_vector, signed_log1p
@@ -53,6 +55,7 @@ __all__ = [
     "GraphEdge",
     "GraphNode",
     "build_original_graph",
+    "slice_transactions",
     "to_address_graph",
     "to_array_graph",
     "reference_degree_centrality",
@@ -298,7 +301,11 @@ def build_original_graph(
     input value; output-side edges run tx → address with the output value.
     Multiple inputs/outputs between the same pair accumulate into the
     node value bags (each edge is kept individually).  The oracle of
-    :func:`repro.graphs.extraction.build_original_pack`.
+    :func:`repro.graphs.extraction.build_original_pack`, which builds
+    the same graph from the slice's interned
+    :class:`~repro.chain.explorer.TxArrays` columns; a slice cut by
+    :func:`slice_transactions` holds the transactions of the same slice
+    of the production builder.
     """
     if not transactions:
         raise GraphConstructionError(
@@ -319,6 +326,26 @@ def build_original_graph(
             addr_node = graph.add_node(NodeKind.ADDRESS, out.address)
             graph.add_edge(tx_node, addr_node, out.value)
     return graph
+
+
+def slice_transactions(
+    transactions: Sequence[Transaction], slice_size: int
+) -> List[List[Transaction]]:
+    """Chronological slices of at most ``slice_size`` transactions.
+
+    Ordered by :func:`repro.chain.explorer.slice_order`, the order
+    production Stage 1 slices in.
+    """
+    if slice_size <= 0:
+        raise ValidationError(f"slice_size must be > 0, got {slice_size}")
+    order = slice_order(
+        [tx.timestamp for tx in transactions], [tx.txid for tx in transactions]
+    )
+    ordered = [transactions[i] for i in order.tolist()]
+    return [
+        ordered[start : start + slice_size]
+        for start in range(0, len(ordered), slice_size)
+    ]
 
 
 def to_array_graph(graph: AddressGraph) -> ArrayGraph:

@@ -96,6 +96,7 @@ class TestDocumentedSurface:
             "GraphPipelineConfig",
             "augment_graph",
             "augment_pack",
+            "build_original_pack",
             "centrality_matrix_block_diagonal",
         ):
             assert name in graphs.__all__, name
@@ -134,6 +135,7 @@ OBJECT_MODEL = {"AddressGraph", "GraphNode", "GraphEdge"}
 #: Graph-construction and encoding entry points retired in favour of the
 #: one packed path (``build_pack`` / ``augment_pack`` / ``encode_pack``).
 RETIRED = {
+    "slice_transactions",
     "augment_graphs",
     "batched_centrality_matrices",
     "pack_block_diagonal",
@@ -148,34 +150,51 @@ RETIRED = {
 }
 
 
+#: Stage-1 paths replaced by the one column builder
+#: (``build_original_pack`` over ``transaction_columns_of``).
+RETIRED_STAGE1 = {
+    "build_arrays_from_columns",
+    "transaction_arrays",
+    "clear_transaction_arrays",
+}
+
+
+def _names_outside_reference(names):
+    """``module:line name`` for each class, function, import or
+    attribute named in ``names`` under ``src/repro``, outside
+    ``repro.graphs.reference``."""
+    import repro
+
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(
+            ("repro",) + path.relative_to(root).with_suffix("").parts
+        )
+        if module == "repro.graphs.reference":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                found = {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                found = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                found = {node.attr}
+            elif isinstance(node, ast.Name):
+                found = {node.id}
+            else:
+                continue
+            for name in found & names:
+                offenders.append(f"{module}:{node.lineno} {name}")
+    return offenders
+
+
 class TestOneGraphRepresentation:
     """Production code knows one graph representation (``ArrayGraph`` /
     ``GraphPack``); the object model lives only beside the oracles."""
 
     def test_object_model_confined_to_reference(self):
-        import repro
-
-        root = Path(repro.__file__).parent
-        offenders = []
-        for path in sorted(root.rglob("*.py")):
-            module = ".".join(
-                ("repro",) + path.relative_to(root).with_suffix("").parts
-            )
-            if module == "repro.graphs.reference":
-                continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.ClassDef):
-                    names = {node.name}
-                elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                    names = {
-                        alias.name.rsplit(".", 1)[-1] for alias in node.names
-                    }
-                elif isinstance(node, ast.Attribute):
-                    names = {node.attr}
-                else:
-                    continue
-                for name in names & OBJECT_MODEL:
-                    offenders.append(f"{module}:{node.lineno} {name}")
+        offenders = _names_outside_reference(OBJECT_MODEL)
         assert not offenders, offenders
 
     @pytest.mark.parametrize("package_name", ["repro.graphs", "repro.gnn"])
@@ -191,6 +210,35 @@ class TestOneGraphRepresentation:
         for method in ("build", "build_slices", "build_many_slices"):
             assert not hasattr(GraphConstructionPipeline, method), method
         assert list(inspect.signature(augment_pack).parameters) == ["pack"]
+
+
+class TestOneStage1Builder:
+    """Stage 1 has one production builder, fed the same way by both
+    index kinds."""
+
+    def test_retired_stage1_paths_gone(self):
+        offenders = _names_outside_reference(
+            RETIRED_STAGE1 | {"slice_transactions"}
+        )
+        assert not offenders, offenders
+
+    def test_extract_does_not_branch_on_index_kind(self):
+        from repro.graphs import pipeline
+
+        tree = ast.parse(Path(pipeline.__file__).read_text())
+        (extract,) = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_extract"
+        ]
+        probes = [
+            node.func.id
+            for node in ast.walk(extract)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in {"getattr", "hasattr", "isinstance", "type"}
+        ]
+        assert not probes, probes
 
 
 class TestVersion:

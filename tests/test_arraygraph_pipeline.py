@@ -25,15 +25,15 @@ from repro.graphs import (
     GraphConstructionPipeline,
     GraphPipelineConfig,
     flatten_graphs,
-    slice_transactions,
 )
-from repro.graphs.extraction import build_arrays_from_columns
+from repro.graphs.extraction import build_original_pack
 from repro.graphs.reference import (
     AddressGraph,
     build_original_graph,
     reference_centrality_matrix,
     reference_compress_multi_transaction_addresses,
     reference_compress_single_transaction_addresses,
+    slice_transactions,
     to_address_graph,
     to_array_graph,
 )
@@ -146,57 +146,35 @@ def test_pipeline_parity_full_depth(seed):
 
 
 # --------------------------------------------------------------------- #
-# Stage-1 builders agree with each other
+# Stage-1 column builder == object builder
 # --------------------------------------------------------------------- #
 
 
-def _from_index(index, address, chunk, slice_index):
-    """:func:`build_arrays_from_columns` over the in-memory index's
-    memoised per-transaction columns."""
-    columns = [index.transaction_arrays(tx) for tx in chunk]
-    return build_arrays_from_columns(index, address, columns, slice_index)
-
-
 def _check_builder_parity(seed: int):
+    """Every slice built alone from the in-memory index's interned
+    columns equals the object builder over the same transactions."""
     _, index, addresses = random_chain(seed)
-    pipeline = GraphConstructionPipeline(
-        GraphPipelineConfig(
-            slice_size=4,
-            enable_single_compression=False,
-            enable_multi_compression=False,
-            enable_augmentation=False,
-        )
-    )
     for address in addresses:
-        transactions = index.transactions_of(address)
-        for i, chunk in enumerate(slice_transactions(transactions, 4)):
-            from_columns = _from_index(index, address, chunk, i)
+        columns = index.transaction_columns_of(address)
+        chunks = slice_transactions(index.transactions_of(address), 4)
+        for i, chunk in enumerate(chunks):
+            (from_columns,) = build_original_pack(
+                index, [address], [columns[4 * i: 4 * i + 4]], [i]
+            ).graphs()
             from_objects = build_original_graph(address, chunk, slice_index=i)
             _assert_structure_identical(from_columns, from_objects)
-    # Dropping the column memo must not change results (it rebuilds).
-    index.clear_transaction_arrays()
-    address = addresses[0]
-    chunk = slice_transactions(index.transactions_of(address), 4)[0]
-    _assert_structure_identical(
-        _from_index(index, address, chunk, 0),
-        build_original_graph(address, chunk, slice_index=0),
-    )
-    # ... and the pipeline's own Stage-1 output matches both.
-    for address in addresses:
-        for graph in pipeline.build_many(index, [address])[address]:
-            assert graph.num_nodes > 0
 
 
 @pytest.mark.parametrize("seed", SMOKE_SEEDS)
 def test_stage1_builder_parity(seed):
-    """ChainIndex-column builder == object builder (smoke subset)."""
+    """Column builder == object builder, slice by slice (smoke subset)."""
     _check_builder_parity(seed)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", FULL_SEEDS[:10])
 def test_stage1_builder_parity_full_depth(seed):
-    """ChainIndex-column builder == object builder (full depth)."""
+    """Column builder == object builder, slice by slice (full depth)."""
     _check_builder_parity(seed)
 
 

@@ -21,9 +21,10 @@ tests pin its four contracts:
   ``close()`` releases every mapped segment (asserted via the process
   fd table), and a store-backed warm restart scores with zero
   construction misses.
-- **Memo discipline** — store reads must never repopulate the
-  unbounded ``ChainIndex._tx_arrays`` memo, and the store-backed
-  resident footprint stays flat across repeated scoring sweeps.
+- **Memo discipline** — store reads must never fill the in-memory
+  index's interned column table (``ChainIndex._tx_columns``), and the
+  store-backed resident footprint stays flat across repeated scoring
+  sweeps.
 """
 
 import gc
@@ -81,24 +82,12 @@ def _fit_classifier(index, addresses):
 def _assert_column_parity(index, view, addresses):
     """Store columns must equal the in-memory interned columns exactly.
 
-    The writer interns addresses and txids in ingestion order, inputs
-    before outputs.  The in-memory index interns lazily in
-    ``transaction_arrays`` *call* order, so warm its memo in ingestion
-    order first — after that even the integer keys agree, not just the
-    decoded structure.  (The graph pipeline itself is key-numbering
-    independent; :func:`_assert_pipeline_parity` covers the unwarmed
-    case.)
+    Both index kinds intern addresses and txids in ingestion order,
+    inputs before outputs, and sort by the one slice order, so even
+    the integer keys agree, not just the decoded structure.
     """
-    for tx, _ in index.transactions_since(0):
-        index.transaction_arrays(tx)
     for address in addresses:
-        # transaction_columns_of returns slice order: (timestamp, txid),
-        # exactly what slice_transactions imposes on the object path.
-        ordered = sorted(
-            index.transactions_of(address),
-            key=lambda tx: (tx.timestamp, tx.txid),
-        )
-        want = [index.transaction_arrays(tx) for tx in ordered]
+        want = index.transaction_columns_of(address)
         got = view.transaction_columns_of(address)
         assert len(got) == len(want), address
         for expected, actual in zip(want, got):
@@ -447,7 +436,7 @@ class TestClusterLifecycle:
 
 
 class TestMemoDiscipline:
-    """Satellite 4: store reads never re-inflate the column memo."""
+    """Satellite 4: store reads never fill the interned column table."""
 
     def test_memo_stays_empty_and_footprint_flat(self, tmp_path):
         chain, index, addresses = random_chain(51)
@@ -463,16 +452,16 @@ class TestMemoDiscipline:
                     view.counterparties(address)
 
             sweep()
-            assert view._tx_arrays == {}, (
-                "store-backed reads repopulated the unbounded "
-                "ChainIndex._tx_arrays memo"
+            assert view._tx_columns == {}, (
+                "store-backed reads filled the in-memory "
+                "ChainIndex._tx_columns table"
             )
             # The member-cache warms on the first sweep; after that the
             # resident footprint must not grow at all.
             warm = view.resident_nbytes()
             for _ in range(3):
                 sweep()
-            assert view._tx_arrays == {}
+            assert view._tx_columns == {}
             assert view.resident_nbytes() == warm
             # And the mapped columns dominate what a resident index
             # would hold: the view keeps only adjacency + caches.

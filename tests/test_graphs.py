@@ -37,10 +37,10 @@ from repro.graphs import (
     normalized_adjacency,
     pagerank_centrality,
     similarity_matrices,
-    slice_transactions,
 )
 from repro.graphs.reference import (
     build_original_graph,
+    slice_transactions,
     to_address_graph,
     to_array_graph,
 )

@@ -28,7 +28,7 @@ from repro.graphs.compression import (
     compress_single_transaction_addresses,
     compress_single_transaction_pack,
 )
-from repro.graphs.extraction import build_original_pack, slice_transactions
+from repro.graphs.extraction import build_original_pack
 from repro.graphs.model import NodeKind
 from repro.graphs.reference import (
     reference_compress_multi_transaction_addresses,
@@ -47,21 +47,22 @@ def _stages_2_3(pack, psi=0.6, sigma=2):
 
 
 def _slices(seed, slice_size=5, **world):
-    """``(centres, transaction slices, slice indices)`` of a random world."""
+    """``(index, centres, column slices, slice indices)`` of a random
+    world."""
     _, index, addresses = random_chain(seed, **world)
     centres, chunks, indices = [], [], []
     for address in addresses:
-        history = index.transactions_of(address)
-        for i, chunk in enumerate(slice_transactions(history, slice_size)):
+        history = index.transaction_columns_of(address)
+        for i in range(0, len(history), slice_size):
             centres.append(address)
-            chunks.append(chunk)
-            indices.append(i)
-    return centres, chunks, indices
+            chunks.append(history[i: i + slice_size])
+            indices.append(i // slice_size)
+    return index, centres, chunks, indices
 
 
-def _alone(centre, chunk, slice_index, psi=0.6, sigma=2):
+def _alone(index, centre, chunk, slice_index, psi=0.6, sigma=2):
     """One slice through Stages 1–3 in a one-graph pack."""
-    pack = build_original_pack([centre], [chunk], [slice_index])
+    pack = build_original_pack(index, [centre], [chunk], [slice_index])
     (graph,) = _stages_2_3(pack, psi, sigma).graphs()
     return graph
 
@@ -134,16 +135,17 @@ _TIE_ROWS = [[0, 1], [1, 2], [2, 3], [3, 0]]
 
 
 def _check_pack_matches_singletons(seed, order_seed, psi, sigma):
-    centres, chunks, indices = _slices(
+    index, centres, chunks, indices = _slices(
         seed, num_wallets=3 + seed % 2, rounds=6 + seed % 5
     )
     alone = [
-        _alone(c, chunk, i, psi, sigma)
+        _alone(index, c, chunk, i, psi, sigma)
         for c, chunk, i in zip(centres, chunks, indices)
     ]
     order = np.random.default_rng(order_seed).permutation(len(centres))
     for permutation in (np.arange(len(centres)), order):
         pack = build_original_pack(
+            index,
             [centres[k] for k in permutation],
             [chunks[k] for k in permutation],
             [indices[k] for k in permutation],
@@ -179,23 +181,24 @@ class TestPackParity:
         _check_pack_matches_singletons(seed, order_seed, psi, sigma)
 
     def test_graph_without_centre(self):
-        centres, chunks, indices = _slices(3)
+        index, centres, chunks, indices = _slices(3)
         stranger = "not-on-chain"
         pack = build_original_pack(
-            centres[:2] + [stranger], chunks[:3], indices[:3]
+            index, centres[:2] + [stranger], chunks[:3], indices[:3]
         )
         packed = _stages_2_3(pack, psi=0.5, sigma=1).graphs()
         assert packed[2].center_node_id() is None
         _assert_bitwise_equal(
-            packed[2], _alone(stranger, chunks[2], indices[2], 0.5, 1)
+            packed[2], _alone(index, stranger, chunks[2], indices[2], 0.5, 1)
         )
         for k in range(2):
             _assert_bitwise_equal(
-                packed[k], _alone(centres[k], chunks[k], indices[k], 0.5, 1)
+                packed[k],
+                _alone(index, centres[k], chunks[k], indices[k], 0.5, 1),
             )
 
     def test_zero_edge_graph_in_a_pack(self):
-        centres, chunks, indices = _slices(4)
+        index, centres, chunks, indices = _slices(4)
         lonely = ArrayGraph(
             center_address="center",
             slice_index=7,
@@ -211,14 +214,17 @@ class TestPackParity:
             edge_times=np.empty(0),
             center_id=0,
         )
-        built = build_original_pack(centres[:3], chunks[:3], indices[:3])
+        built = build_original_pack(
+            index, centres[:3], chunks[:3], indices[:3]
+        )
         graphs = built.graphs()
         pack = GraphPack.of(graphs[:1] + [lonely] + graphs[1:])
         packed = _stages_2_3(pack, psi=0.5, sigma=1).graphs()
         _assert_bitwise_equal(packed[1], lonely)
         for k, graph in zip(range(3), packed[:1] + packed[2:]):
             _assert_bitwise_equal(
-                graph, _alone(centres[k], chunks[k], indices[k], 0.5, 1)
+                graph,
+                _alone(index, centres[k], chunks[k], indices[k], 0.5, 1),
             )
         # Alone, a zero-edge graph is a no-op for both passes.
         solo = GraphPack.of([lonely])
@@ -264,8 +270,7 @@ class TestPackParity:
         )
         assert [n.ref for n in reference.nodes] == alone.refs.tolist()
         # Deep in a pack of many rows, the tie resolves the same way.
-        centres, chunks, indices = _slices(9)
-        others = build_original_pack(centres, chunks, indices).graphs()
+        others = build_original_pack(*_slices(9)).graphs()
         pack = GraphPack.of(others + [tie])
         packed = compress_multi_transaction_pack(pack, 0.4, 2).graphs()
         _assert_bitwise_equal(packed[-1], alone)
@@ -274,10 +279,9 @@ class TestPackParity:
 @pytest.fixture(scope="module")
 def original_graphs():
     """Stage-1 slice graphs of a small economy (before compression)."""
-    centres, chunks, indices = _slices(
-        11, slice_size=10, num_wallets=5, rounds=14
-    )
-    graphs = build_original_pack(centres, chunks, indices).graphs()
+    graphs = build_original_pack(
+        *_slices(11, slice_size=10, num_wallets=5, rounds=14)
+    ).graphs()
     assert len(graphs) >= 12
     return graphs
 

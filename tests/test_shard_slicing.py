@@ -19,6 +19,7 @@ number of Hypothesis examples runs in tier 1; the full depth carries
 the ``slow`` marker and runs in ``scripts/tier2.sh``.
 """
 
+import copy
 import pickle
 import tempfile
 import time
@@ -28,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.explorer import ChainIndex
+from repro.chain.transaction import Transaction
 from repro.chain.store import ChainStore, StoreBackedChainIndex
 from repro.serve.cluster import _ShardMembership
 from repro.serve.router import DEFAULT_PREFIX_LENGTH, ShardRouter
@@ -192,18 +194,26 @@ class TestShardSliceContract:
             assert piece.address_filter(address) == both
             assert shipped(address) == both
 
-    def test_memos_start_empty(self):
-        """Each slice interns node keys into its own memo: the parent's
-        interning and column memo are not shared."""
-        _, index, addresses = random_chain(4)
-        tx = index.transactions_of(addresses[0])[0]
-        index.transaction_arrays(tx)
+    def test_interning_tables_are_copies(self):
+        """A slice starts with copies of the parent's interning tables
+        (so node keys agree) and shares its immutable columns; ingesting
+        into the slice leaves the parent's tables unchanged."""
+        chain, index, addresses = random_chain(4)
         piece = index.sharded(_ShardMembership(ShardRouter(1), 0))
-        assert piece._tx_arrays == {}
-        assert piece._address_names == []
-        piece.transaction_arrays(tx)
-        assert piece._tx_arrays is not index._tx_arrays
-        assert piece._address_ids is not index._address_ids
+        want = index.transaction_columns_of(addresses[0])
+        got = piece.transaction_columns_of(addresses[0])
+        assert want and len(got) == len(want)
+        assert all(g is w for g, w in zip(got, want))
+        tables = ("_address_ids", "_address_names", "_tx_names", "_tx_columns")
+        before = {name: copy.copy(getattr(index, name)) for name in tables}
+        tx = Transaction.coinbase(
+            "fresh-address", value=1, timestamp=chain.tip.timestamp + 1
+        )
+        assert piece.ingest_transactions([(tx, chain.height + 1)]) == 1
+        for name in tables:
+            assert getattr(index, name) == before[name], name
+            assert getattr(piece, name) != before[name], name
+        assert index.total_transactions() < piece.total_transactions()
 
 
 def test_sharded_beats_replay():
