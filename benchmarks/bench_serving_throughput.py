@@ -37,7 +37,8 @@ forward per address) on the same synthetic chain:
   serial per-request calls; then one appended block, timing the first
   post-append re-score (``append_refresh_seconds``) and asserting the
   worker pool was *streamed to*, never re-forked
-  (``pool_stats()['starts'] == 1`` across the whole phase);
+  (``pool_starts_total`` grows by exactly 1 across the whole phase,
+  read as ``repro.obs`` registry deltas);
 - **store**: the same cluster backed by the memory-mapped chain store
   (``ClusterConfig(store_dir=...)``) — shard workers read interned
   transaction columns from mapped ``.npy`` segments instead of holding
@@ -441,12 +442,21 @@ def test_bench_serving_throughput(serving_setup, tmp_path):
     # The async front end coalesces them into merged passes (one padded
     # head pass instead of n), and a block append streams to the live
     # workers as a tail-replay message — the pool must never re-fork
-    # (`starts` stays 1 across the whole phase).
+    # (one `pool_starts_total` across the whole phase).  Earlier phases
+    # of this process start pools too, so the phase reads registry
+    # deltas from here.
+    phase_start = obs.snapshot()["counters"]
+
+    def _phase_count(name):
+        return obs.snapshot()["counters"].get(name, 0) - phase_start.get(
+            name, 0
+        )
+
     streaming = ClusterScoringService(
         classifier, world.index, chain=world.chain, config=cluster_config
     )
     streaming.score(addresses)  # warm caches; the first misses fork the pool
-    assert streaming.pool_stats()["starts"] == 1
+    assert _phase_count("pool_starts_total") == 1
 
     start = time.perf_counter()
     serial_scores = {}
@@ -473,9 +483,9 @@ def test_bench_serving_throughput(serving_setup, tmp_path):
             rtol=1e-9,
             atol=1e-9,
         )
-    batch_stats = streaming.micro_batch_stats()
-    assert batch_stats["requests"] == n
-    assert batch_stats["batches"] < n, "no coalescing happened"
+    micro_batches = _phase_count("micro_batches_total")
+    assert _phase_count("micro_batch_requests_total") == n
+    assert micro_batches < n, "no coalescing happened"
     concurrent_speedup = serial_request_seconds / concurrent_seconds
     if MIN_STREAMING_SPEEDUP is not None:
         assert concurrent_speedup >= MIN_STREAMING_SPEEDUP, (
@@ -491,9 +501,9 @@ def test_bench_serving_throughput(serving_setup, tmp_path):
     start = time.perf_counter()
     refreshed = streaming.score(addresses)
     append_refresh_seconds = time.perf_counter() - start
-    stream_pool = streaming.pool_stats()
-    assert stream_pool["starts"] == 1, stream_pool  # streamed, not re-forked
-    assert stream_pool["ingest_batches"] >= 1
+    streaming_pool_starts = _phase_count("pool_starts_total")
+    assert streaming_pool_starts == 1  # streamed, not re-forked
+    assert _phase_count("pool_ingest_batches_total") >= 1
     np.testing.assert_allclose(
         refreshed[stream_target].probabilities,
         classifier.predict_proba([stream_target], world.index)[0],
@@ -595,9 +605,9 @@ def test_bench_serving_throughput(serving_setup, tmp_path):
         "concurrent_seconds": concurrent_seconds,
         "concurrent_addr_per_second": n / concurrent_seconds,
         "concurrent_speedup_vs_serial": concurrent_speedup,
-        "micro_batches": batch_stats["batches"],
+        "micro_batches": micro_batches,
         "append_refresh_seconds": append_refresh_seconds,
-        "streaming_pool_starts": stream_pool["starts"],
+        "streaming_pool_starts": streaming_pool_starts,
         "streaming_gate_enforced": MIN_STREAMING_SPEEDUP is not None,
         "store_cold_seconds": store_cold_seconds,
         "store_addr_per_second": n / store_cold_seconds,
@@ -692,10 +702,10 @@ def test_bench_serving_throughput(serving_setup, tmp_path):
     )
     lines.append(
         f"streaming: {concurrent_speedup:.2f}x concurrent vs serial in "
-        f"{batch_stats['batches']} micro-batches "
+        f"{micro_batches} micro-batches "
         f"(gate {'on' if MIN_STREAMING_SPEEDUP else 'off'}), append "
         f"refresh {append_refresh_seconds:.3f}s with "
-        f"{stream_pool['starts']} pool start"
+        f"{streaming_pool_starts} pool start"
     )
     lines.append(
         f"chain store: worker footprint {store_peak_worker_bytes:,} B "

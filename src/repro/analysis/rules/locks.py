@@ -1,19 +1,19 @@
 """lock-discipline: declared shared state is only written under its lock.
 
 The serving layer is explicitly thread-aware: cluster lifecycle state
-lives under ``ClusterScoringService._lock``, pool workers merge timers
-under ``_timer_lock``, and each ``_Shard`` carries its own ``lock``
-guarding its caches, index slice, and version counter.  A class
-declares its discipline with a class-body table::
+lives under ``ClusterScoringService._lock``, the worker pool's pending
+builds under its own ``_lock``, the micro-batcher's queue under its
+``_condition``, and each ``_Shard`` carries its own ``lock`` guarding
+its caches, index slice, and version counter.  A class declares its
+discipline with a class-body table::
 
     _LOCK_GUARDED = {
         "_lock": ("_chain", "_pool", "_synced_transactions"),
-        "_timer_lock": ("_worker_timer",),
     }
 
 and this rule then requires every write to a guarded attribute
 (``self.x = ...``, ``self.x += ...``, ``del self.x``) and every direct
-method call on one (``self.x.merge(...)`` — mutation through the
+method call on one (``self.x.clear()`` — mutation through the
 attribute) to sit lexically inside ``with self.<lock>``.  Two exemptions
 mirror standard practice: ``__init__`` (the object is not shared yet)
 and methods whose name ends in ``_locked`` (the documented

@@ -50,7 +50,6 @@ __all__ = [
     "GraphPipelineConfig",
     "GraphConstructionPipeline",
     "STAGE_NAMES",
-    "stage_report_from_timer",
 ]
 
 STAGE_NAMES = (
@@ -60,9 +59,9 @@ STAGE_NAMES = (
     "stage4_augmentation",
 )
 
-#: Bridge from StageTimer stage names to registry histograms — the
-#: legacy per-stage accounting keeps working, and every accumulation
-#: also lands in an exportable ``repro.obs`` latency distribution.
+#: Registry histogram per stage: one observation per packed stage pass
+#: over a build's graphs, which is how operators read stage latency.
+#: The per-graph Table-V means come from the pipeline's own timer.
 _STAGE_HISTOGRAMS = {
     STAGE_NAMES[0]: obs.histogram("pipeline_stage1_extraction_seconds"),
     STAGE_NAMES[1]: obs.histogram(
@@ -81,20 +80,6 @@ _STAGE_SPANS = {
     STAGE_NAMES[2]: "pipeline.stage3_multi_compression",
     STAGE_NAMES[3]: "pipeline.stage4_augmentation",
 }
-
-
-def _observe_stage(name: str, seconds: float, count: int) -> None:
-    """StageTimer observer feeding per-stage histograms.
-
-    One observation per accumulation event: one packed pass of a stage
-    over a build's graphs, matching how operators read stage latency
-    distributions; the legacy per-graph *means* still come from the
-    timer itself via :func:`stage_report_from_timer`, since each pass
-    is recorded with ``count`` = the graphs it covered.
-    """
-    metric = _STAGE_HISTOGRAMS.get(name)
-    if metric is not None:
-        metric.observe(seconds)
 
 
 @dataclass(frozen=True)
@@ -142,7 +127,17 @@ class GraphConstructionPipeline:
 
     def __init__(self, config: "GraphPipelineConfig | None" = None):
         self.config = config or GraphPipelineConfig()
-        self.timer = StageTimer(observer=_observe_stage)
+        self.timer = StageTimer()
+
+    def _record(self, name: str, seconds: float, pack: GraphPack) -> None:
+        """Account one packed pass of stage ``name`` over ``pack``.
+
+        The timer entry is amortised over the pack's graphs, so
+        :meth:`stage_report` keeps its per-graph means; the stage's
+        registry histogram takes the pass as one observation.
+        """
+        self.timer.add(name, seconds, count=len(pack))
+        _STAGE_HISTOGRAMS[name].observe(seconds)
 
     def _extract(
         self,
@@ -198,10 +193,8 @@ class GraphConstructionPipeline:
             return None
         pack = build_original_pack(index, centers, chunks, wanted_indices)
         # Stage 1 covers fetch + chronological slicing + construction.
-        self.timer.add(
-            STAGE_NAMES[0],
-            prep_seconds + time.perf_counter() - start,
-            count=len(pack),
+        self._record(
+            STAGE_NAMES[0], prep_seconds + time.perf_counter() - start, pack
         )
         return pack
 
@@ -233,9 +226,7 @@ class GraphConstructionPipeline:
             with obs.span(_STAGE_SPANS[name]):
                 start = time.perf_counter()
                 pack = transform(pack)
-                self.timer.add(
-                    name, time.perf_counter() - start, count=len(pack)
-                )
+                self._record(name, time.perf_counter() - start, pack)
         return pack
 
     def _augment(self, pack: GraphPack) -> sp.csr_matrix:
@@ -248,9 +239,7 @@ class GraphConstructionPipeline:
         with obs.span(_STAGE_SPANS[name]):
             start = time.perf_counter()
             adjacency = augment_pack(pack)
-            self.timer.add(
-                name, time.perf_counter() - start, count=len(pack)
-            )
+            self._record(name, time.perf_counter() - start, pack)
         return adjacency
 
     def build_many(
@@ -312,30 +301,20 @@ class GraphConstructionPipeline:
         ``graphs_per_second`` is its reciprocal throughput, the quantity
         tracked by ``benchmarks/bench_pipeline_throughput.py``.
         """
-        return stage_report_from_timer(self.timer)
-
-
-def stage_report_from_timer(timer: StageTimer) -> List[Dict[str, float]]:
-    """Table-V-shaped stage rows from any :class:`StageTimer`.
-
-    The report body behind :meth:`GraphConstructionPipeline.stage_report`,
-    exposed separately so callers that *aggregate* timers — the cluster
-    serving layer merges per-shard pipelines and shipped-back worker
-    timers — can render the same rows without a pipeline instance.
-    """
-    ratios = timer.ratios()
-    report = []
-    for name in timer.stage_names:
-        total = timer.totals[name]
-        count = timer.counts[name]
-        report.append(
-            {
-                "stage": name,
-                "total_seconds": total,
-                "ratio": ratios[name],
-                "mean_seconds": timer.mean(name),
-                "entries": count,
-                "graphs_per_second": count / total if total > 0 else 0.0,
-            }
-        )
-    return report
+        timer = self.timer
+        ratios = timer.ratios()
+        report = []
+        for name in timer.stage_names:
+            total = timer.totals[name]
+            count = timer.counts[name]
+            report.append(
+                {
+                    "stage": name,
+                    "total_seconds": total,
+                    "ratio": ratios[name],
+                    "mean_seconds": timer.mean(name),
+                    "entries": count,
+                    "graphs_per_second": count / total if total > 0 else 0.0,
+                }
+            )
+        return report

@@ -127,8 +127,9 @@ class CacheStats:
 class CacheMetrics(NamedTuple):
     """Registry counters a cache increments alongside its ``stats``.
 
-    The legacy per-cache :class:`CacheStats` object stays the
-    source of per-instance truth (shard breakdowns, hit rates); the
+    The per-cache :class:`CacheStats` object stays the source of
+    per-instance truth (shard breakdowns, hit rates), which the
+    unlabelled registry cannot give; the
     bound registry counters aggregate the same events across every
     cache of the same tier into the process-global
     :mod:`repro.obs` registry, which is what gets exported.

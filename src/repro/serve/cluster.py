@@ -102,7 +102,6 @@ from repro.gnn.data import EncodedGraph, build_encoded
 from repro.graphs.pipeline import (
     GraphConstructionPipeline,
     GraphPipelineConfig,
-    stage_report_from_timer,
 )
 from repro.serve.cache import (
     CacheStats,
@@ -118,7 +117,6 @@ from repro.serve.service import (
     _unknown_addresses_error,
 )
 from repro.serve.store import CacheStore, WarmState, encoder_version
-from repro.utils.timer import StageTimer
 
 __all__ = [
     "AddressScoringService",
@@ -138,14 +136,13 @@ _SERVE_UNKNOWN = obs.counter("serve_unknown_rejections_total")
 #: Warm-store bundles :meth:`ClusterScoringService.load_warm` skipped as
 #: unusable (corrupt or truncated): those shards start cold.
 _SERVE_WARM_REJECTED = obs.counter("serve_warm_bundles_rejected_total")
-#: Cluster-layer registry metrics (process-global; see ``repro.obs``).
-#: The legacy accessors — ``pool_stats()``, ``micro_batch_stats()``,
-#: per-shard ``CacheStats`` — stay the per-instance views; these
-#: aggregate the same events for export, incremented at the same
-#: sites, so the two surfaces cannot drift.
+#: Cluster-layer registry metrics (process-global; see ``repro.obs``):
+#: the only record of pool, micro-batch and stage events.
 _SHARD_LOCK_WAIT = obs.histogram("shard_lock_wait_seconds")
 _SHARD_RETRIES = obs.counter("shard_version_retries_total")
 _POOL_STARTS = obs.counter("pool_starts_total")
+#: Live worker processes, process-wide: up on pool start, down on each
+#: death the health check finds and on shutdown.
 _POOL_WORKERS = obs.gauge("pool_workers")
 _POOL_INGESTS = obs.counter("pool_ingest_batches_total")
 _POOL_REMAPS = obs.counter("pool_remaps_total")
@@ -304,7 +301,6 @@ class _Shard:
     __slots__ = (
         "shard_id",
         "index",
-        "pipeline",
         "cache",
         "embeddings",
         "covered",
@@ -319,7 +315,6 @@ class _Shard:
     _LOCK_GUARDED = {
         "lock": (
             "index",
-            "pipeline",
             "cache",
             "embeddings",
             "covered",
@@ -331,12 +326,10 @@ class _Shard:
         self,
         shard_id: int,
         index: ChainIndex,
-        pipeline_config: GraphPipelineConfig,
         config: ClusterConfig,
     ):
         self.shard_id = shard_id
         self.index = index
-        self.pipeline = GraphConstructionPipeline(pipeline_config)
         self.cache: SliceGraphCache[EncodedGraph] = SliceGraphCache(
             config.cache_capacity, metrics=slice_cache_metrics()
         )
@@ -575,20 +568,8 @@ class _Shard:
             self.covered.clear()
 
     # -------------------------------------------------------------- #
-    # Accounting and persistence
+    # Persistence
     # -------------------------------------------------------------- #
-
-    def merge_timer(self, timer: StageTimer) -> None:
-        """Fold a private build pipeline's stage timer into the shard's."""
-        with self.lock:
-            self.pipeline.timer.merge(timer)
-
-    def timer_snapshot(self) -> StageTimer:
-        """A consistent copy of the shard's accumulated stage timer."""
-        with self.lock:
-            snapshot = StageTimer()
-            snapshot.merge(self.pipeline.timer)
-            return snapshot
 
     def export_warm_state(self) -> WarmState:
         """Atomic warm snapshot of the caches plus coverage."""
@@ -720,24 +701,20 @@ def _worker_main(
         _, seq, shard_id, requests, trace_context = message
         try:
             with obs.span_from_context("worker.build", trace_context):
-                pipeline = GraphConstructionPipeline(pipeline_config)
                 encoded = build_encoded(
-                    pipeline,
+                    GraphConstructionPipeline(pipeline_config),
                     indexes[shard_id],
                     dict(requests),
                     span="worker.encode",
                     gfn_k=gfn_k,
                 )
-            results.put(
-                (seq, encoded, pipeline.timer, None, obs.drain_for_shipping())
-            )
+            results.put((seq, encoded, None, obs.drain_for_shipping()))
         except Exception as error:  # repro: lint-ignore[broad-except]
             # Process boundary: the failure must travel back as data or
             # the parent's future never resolves.
             results.put(
                 (
                     seq,
-                    None,
                     None,
                     f"{type(error).__name__}: {error}",
                     obs.drain_for_shipping(),
@@ -775,8 +752,6 @@ class _WorkerPool:
             "_assigned",
             "_seq",
             "_closed",
-            "_ingest_batches",
-            "_remaps",
             "_dead",
         ),
     }
@@ -807,13 +782,12 @@ class _WorkerPool:
         ]
         for process in self._processes:
             process.start()
+        _POOL_WORKERS.add(num_workers)
         self._lock = threading.Lock()
         self._pending: Dict[int, Future] = {}
         self._assigned: Dict[int, int] = {}
         self._seq = 0
         self._closed = False
-        self._ingest_batches = 0
-        self._remaps = 0
         self._dead: Set[int] = set()
         self._collector = threading.Thread(
             target=self._collect,
@@ -822,29 +796,13 @@ class _WorkerPool:
         )
         self._collector.start()
 
-    @property
-    def num_workers(self) -> int:
-        return len(self._processes)
-
-    @property
-    def ingest_batches(self) -> int:
-        """Tail-replay messages streamed to the workers so far."""
-        with self._lock:
-            return self._ingest_batches
-
-    @property
-    def remaps(self) -> int:
-        """Store-remap messages streamed to the workers so far."""
-        with self._lock:
-            return self._remaps
-
     def submit(
         self,
         shard_id: int,
         requests: Dict[str, List[int]],
         trace_context: Optional[Tuple[str, str]] = None,
     ) -> Future:
-        """Queue one shard's miss-build; resolves to ``(encoded, timer)``.
+        """Queue one shard's miss-build; resolves to its encoded graphs.
 
         ``trace_context`` (the submitter's ``obs.current_context()``)
         rides inside the build message so the worker's construction
@@ -879,7 +837,6 @@ class _WorkerPool:
         with self._lock:
             if self._closed:
                 return
-            self._ingest_batches += 1
         _POOL_INGESTS.inc()
         for tasks in self._tasks:
             tasks.put(("ingest", list(tail)))
@@ -897,7 +854,6 @@ class _WorkerPool:
         with self._lock:
             if self._closed:
                 return
-            self._remaps += 1
         _POOL_REMAPS.inc()
         for tasks in self._tasks:
             tasks.put(("remap",))
@@ -922,7 +878,7 @@ class _WorkerPool:
                     if self._closed:
                         return
                 continue
-            seq, encoded, timer, error, obs_payload = message
+            seq, encoded, error, obs_payload = message
             # Fold the worker's metric/span deltas in *before* the
             # future resolves, so a caller inspecting traces right
             # after ``score()`` returns sees the worker spans.
@@ -939,7 +895,7 @@ class _WorkerPool:
                     RuntimeError(f"shard worker build failed: {error}")
                 )
             else:
-                future.set_result((encoded, timer))
+                future.set_result(encoded)
 
     def _fail_dead_workers(self) -> None:
         dead = {
@@ -963,6 +919,7 @@ class _WorkerPool:
                 self._assigned.pop(seq, None)
         if newly_dead:
             _POOL_DEATHS.inc(len(newly_dead))
+            _POOL_WORKERS.add(-len(newly_dead))
         for seq, future in lost:
             future.set_exception(
                 RuntimeError(
@@ -979,6 +936,8 @@ class _WorkerPool:
             pending = list(self._pending.values())
             self._pending.clear()
             self._assigned.clear()
+            alive = len(self._processes) - len(self._dead)
+        _POOL_WORKERS.add(-alive)
         for future in pending:
             future.set_exception(
                 RuntimeError("worker pool shut down with builds in flight")
@@ -1024,27 +983,14 @@ class _MicroBatcher:
     poisons the batch it happened to share a window with.
     """
 
-    #: Queue/counter state and the condition lock that guards it.
-    _LOCK_GUARDED = {
-        "_condition": (
-            "_queue",
-            "_closed",
-            "_requests",
-            "_batches",
-            "_batched_requests",
-            "_max_batch",
-        ),
-    }
+    #: Queue state and the condition lock that guards it.
+    _LOCK_GUARDED = {"_condition": ("_queue", "_closed")}
 
     def __init__(self, cluster: "ClusterScoringService"):
         self._cluster = cluster
         self._condition = threading.Condition()
         self._queue: "deque[_BatchRequest]" = deque()
         self._closed = False
-        self._requests = 0
-        self._batches = 0
-        self._batched_requests = 0
-        self._max_batch = 0
         self._thread = threading.Thread(
             target=self._run,
             name="repro-cluster-batcher",
@@ -1062,20 +1008,9 @@ class _MicroBatcher:
                 )
                 return request.future
             self._queue.append(request)
-            self._requests += 1
             _MB_REQUESTS.inc()
             self._condition.notify()
         return request.future
-
-    def stats(self) -> Dict[str, int]:
-        """Coalescing counters: requests seen, batches formed, etc."""
-        with self._condition:
-            return {
-                "requests": self._requests,
-                "batches": self._batches,
-                "batched_requests": self._batched_requests,
-                "max_batch": self._max_batch,
-            }
 
     def shutdown(self) -> None:
         """Stop the batcher thread; queued requests fail rather than hang."""
@@ -1114,9 +1049,6 @@ class _MicroBatcher:
                     self._queue.popleft()
                     batch.append(request)
                     total += len(request.addresses)
-                self._batches += 1
-                self._batched_requests += len(batch)
-                self._max_batch = max(self._max_batch, len(batch))
                 _MB_BATCHES.inc()
                 _MB_BATCHED.inc(len(batch))
             executor = self._cluster._ensure_async_executor()
@@ -1214,13 +1146,11 @@ class ClusterScoringService:
         "_lock": (
             "_chain",
             "_pool",
-            "_pool_starts",
             "_synced_transactions",
             "_async_executor",
             "_batcher",
             "_store",
         ),
-        "_timer_lock": ("_worker_timer",),
     }
 
     def __init__(
@@ -1271,18 +1201,14 @@ class ClusterScoringService:
                         _ShardMembership(self.router, shard_id)
                     )
                 ),
-                self.pipeline_config,
                 self.config,
             )
             for shard_id in range(self.config.num_shards)
         ]
         self._synced_transactions = index.total_transactions()
-        self._worker_timer = StageTimer()
-        self._timer_lock = threading.Lock()
         self._lock = threading.RLock()
         self._chain: Optional[Blockchain] = None
         self._pool: Optional[_WorkerPool] = None
-        self._pool_starts = 0
         self._async_executor: Optional[ThreadPoolExecutor] = None
         self._batcher: Optional[_MicroBatcher] = None
         if chain is not None:
@@ -1639,27 +1565,19 @@ class ClusterScoringService:
                     for shard_id, requests in sorted(to_build.items())
                 ]
                 for future in futures:
-                    encoded, timer = future.result()
-                    with self._timer_lock:
-                        self._worker_timer.merge(timer)
-                    built.update(encoded)
+                    built.update(future.result())
             return built
         with obs.span("serve.build"):
             for shard_id, requests in sorted(to_build.items()):
-                shard = self.shards[shard_id]
-                pipeline = GraphConstructionPipeline(
-                    self.pipeline_config
-                )
                 built.update(
                     build_encoded(
-                        pipeline,
-                        shard.index,
+                        GraphConstructionPipeline(self.pipeline_config),
+                        self.shards[shard_id].index,
                         requests,
                         span="serve.encode",
                         gfn_k=getattr(self.classifier.encoder, "k", None),
                     )
                 )
-                shard.merge_timer(pipeline.timer)
         return built
 
     def _ensure_pool(self) -> _WorkerPool:
@@ -1668,8 +1586,8 @@ class ClusterScoringService:
         Started under the service lock, so the fork (or spawn)
         snapshots the shard indexes at a consistent sync point — every
         append after this instant reaches the workers as an ingest
-        message instead of a re-fork.  ``pool_stats()['starts']``
-        counts these starts; steady-state serving should see exactly 1.
+        message instead of a re-fork.  ``pool_starts_total`` counts
+        these starts; steady-state serving should see exactly 1.
         """
         pool = self._pool
         if pool is not None:
@@ -1689,9 +1607,7 @@ class ClusterScoringService:
                     getattr(self.classifier.encoder, "k", None),
                     context,
                 )
-                self._pool_starts += 1
                 _POOL_STARTS.inc()
-                _POOL_WORKERS.set(self.config.num_workers)
             return self._pool
 
     def _ensure_async_executor(self) -> ThreadPoolExecutor:
@@ -1750,56 +1666,6 @@ class ClusterScoringService:
             row["nbytes"] = shard.cache.nbytes
             rows.append(row)
         return rows
-
-    def pool_stats(self) -> Dict[str, int]:
-        """Worker-pool lifecycle counters.
-
-        ``starts`` counts pool forks — the streaming contract is that
-        it stays at 1 across any number of block appends (workers
-        ingest tails in place); ``ingest_batches`` counts the
-        tail-replay messages streamed so far; ``remaps`` counts the
-        store-mode remap messages (the payload-free equivalent);
-        ``workers`` is the live worker count (0 before the first miss
-        or with inline builds).
-        """
-        with self._lock:
-            pool = self._pool
-            return {
-                "starts": self._pool_starts,
-                "workers": pool.num_workers if pool is not None else 0,
-                "ingest_batches": (
-                    pool.ingest_batches if pool is not None else 0
-                ),
-                "remaps": pool.remaps if pool is not None else 0,
-            }
-
-    def micro_batch_stats(self) -> Dict[str, int]:
-        """Coalescing counters of the async micro-batcher.
-
-        ``requests`` counts enqueued ``async_score`` calls,
-        ``batches`` the merged scoring passes they were coalesced
-        into, ``batched_requests`` the requests those batches carried,
-        and ``max_batch`` the largest coalescing window observed.
-        All zero until the first micro-batched request.
-        """
-        batcher = self._batcher
-        if batcher is None:
-            return {
-                "requests": 0,
-                "batches": 0,
-                "batched_requests": 0,
-                "max_batch": 0,
-            }
-        return batcher.stats()
-
-    def construction_report(self) -> List[Dict[str, float]]:
-        """Stage-cost rows aggregated over shards *and* pool workers."""
-        timer = StageTimer()
-        with self._timer_lock:
-            timer.merge(self._worker_timer)
-        for shard in self.shards:
-            timer.merge(shard.timer_snapshot())
-        return stage_report_from_timer(timer)
 
     # ------------------------------------------------------------------ #
     # Warm persistence

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List
 
 __all__ = ["StageTimer", "Stopwatch"]
 
@@ -36,40 +35,19 @@ class Stopwatch:
 class StageTimer:
     """Accumulate wall-clock time per named stage.
 
-    Use :meth:`stage` as a context manager around each pipeline stage; the
-    timer sums durations across repeated entries of the same stage, which
-    is how per-address averages over a dataset are produced.
-
-    Accumulation (:meth:`stage`, :meth:`add`) and cross-timer folding
-    (:meth:`merge`) take an internal lock, so a collector thread may
-    merge worker timers while the owning thread keeps accumulating.
-    The lock (and the observer, below) are excluded from pickling —
-    timers shipped back from construction workers rebuild both on
-    arrival.
-
-    ``observer`` (optional, ``observer(name, seconds, count)``) fires
-    on every *direct* accumulation and deliberately not on
-    :meth:`merge` — a merged timer's entries were already observed in
-    the process that recorded them.  The graph pipeline uses this to
-    bridge stage timings into ``repro.obs`` histograms.
+    Each :meth:`add` sums a duration into its stage, which is how
+    per-graph averages over a dataset are produced.  Accumulation takes
+    an internal lock, so threads sharing one long-lived timer (a
+    classifier's pipeline) never lose an update; the lock is excluded
+    from pickling and rebuilt on load.
     """
 
     totals: Dict[str, float] = field(default_factory=dict)
     counts: Dict[str, int] = field(default_factory=dict)
     _order: List[str] = field(default_factory=list)
-    observer: Optional[Callable[[str, float, int], None]] = field(
-        default=None, repr=False, compare=False
-    )
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
-
-    def _ensure(self, name: str) -> None:
-        """Register ``name`` on first sight (caller holds the lock)."""
-        if name not in self.totals:
-            self.totals[name] = 0.0
-            self.counts[name] = 0
-            self._order.append(name)
 
     def __getstate__(self) -> Dict:
         return {
@@ -82,37 +60,22 @@ class StageTimer:
         self.totals = state["totals"]
         self.counts = state["counts"]
         self._order = state["_order"]
-        self.observer = None
         self._lock = threading.Lock()
 
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time one entry of stage ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            duration = time.perf_counter() - start
-            with self._lock:
-                self._ensure(name)
-                self.totals[name] += duration
-                self.counts[name] += 1
-            if self.observer is not None:
-                self.observer(name, duration, 1)
-
     def add(self, name: str, seconds: float, count: int = 1) -> None:
-        """Record ``seconds`` against stage ``name`` without a context.
+        """Record ``seconds`` against stage ``name``.
 
         ``count`` is the number of entries the duration amortises over —
         e.g. one timed extraction pass that produced ``count`` graphs —
         so :meth:`mean` stays a per-entry figure.
         """
         with self._lock:
-            self._ensure(name)
+            if name not in self.totals:
+                self.totals[name] = 0.0
+                self.counts[name] = 0
+                self._order.append(name)
             self.totals[name] += seconds
             self.counts[name] += count
-        if self.observer is not None:
-            self.observer(name, seconds, count)
 
     @property
     def stage_names(self) -> List[str]:
@@ -136,24 +99,3 @@ class StageTimer:
         if count == 0:
             return 0.0
         return self.totals[name] / count
-
-    def rows(self) -> List[Tuple[str, float, float]]:
-        """``(stage, total_seconds, ratio)`` rows in first-seen order."""
-        ratios = self.ratios()
-        return [(name, self.totals[name], ratios[name]) for name in self._order]
-
-    def merge(self, other: "StageTimer") -> None:
-        """Fold another timer's accumulations into this one.
-
-        Thread-safe against concurrent :meth:`stage`/:meth:`add`/
-        :meth:`merge` calls on *this* timer (the cluster's collector
-        thread merges worker timers while query threads accumulate);
-        ``other`` is read without locking and must be quiescent — in
-        practice it is a timer just unpickled from a result queue.
-        Does not fire the observer (see the class docstring).
-        """
-        with self._lock:
-            for name in other.stage_names:
-                self._ensure(name)
-                self.totals[name] += other.totals[name]
-                self.counts[name] += other.counts[name]

@@ -241,6 +241,67 @@ class TestOneStage1Builder:
         assert not probes, probes
 
 
+#: Duplicate books of serving events, retired in favour of the
+#: ``repro.obs`` registry.
+RETIRED_BOOKS = {
+    "pool_stats",
+    "micro_batch_stats",
+    "construction_report",
+    "stage_report_from_timer",
+}
+
+
+class TestOneSetOfBooks:
+    """Pool, micro-batch and stage events are recorded once, in the
+    ``repro.obs`` registry; ``StageTimer`` is only the offline Table-V
+    accumulator."""
+
+    def test_retired_accessors_gone(self):
+        offenders = _names_outside_reference(RETIRED_BOOKS)
+        assert not offenders, offenders
+
+    def test_stage_timer_neither_merges_nor_observes(self):
+        from repro.utils.timer import StageTimer
+
+        assert not hasattr(StageTimer, "merge")
+        assert "observer" not in inspect.signature(StageTimer).parameters
+        assert not hasattr(StageTimer(), "observer")
+
+    def test_worker_results_carry_no_timer(self):
+        from repro.serve import cluster
+
+        tree = ast.parse(Path(cluster.__file__).read_text())
+        functions = {
+            node.name: node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+        }
+        (unpack,) = [
+            node.targets[0]
+            for node in ast.walk(functions["_collect"])
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Tuple)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "message"
+        ]
+        fields = [elt.id for elt in unpack.elts]
+        assert fields == ["seq", "encoded", "error", "obs_payload"], fields
+        results = [
+            node.args[0]
+            for node in ast.walk(functions["_worker_main"])
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "put"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "results"
+        ]
+        assert len(results) == 2  # the build result and the error path
+        for result in results:
+            assert isinstance(result, ast.Tuple)
+            assert len(result.elts) == len(fields), ast.unparse(result)
+            assert "timer" not in ast.unparse(result), ast.unparse(result)
+
+
 class TestVersion:
     def test_version_string(self):
         import repro

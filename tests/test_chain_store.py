@@ -34,6 +34,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.chain import ChainStore, StoreBackedChainIndex, attach_index
 from repro.core import BAClassifier, BAClassifierConfig
 from repro.errors import ChainStoreError
@@ -350,6 +351,7 @@ class TestClusterLifecycle:
                 num_shards=2, num_workers=1, store_dir=str(tmp_path)
             ),
         )
+        before = obs.snapshot()
         try:
             service.score(addresses)
             append_self_spend(chain, addresses[0])
@@ -357,9 +359,14 @@ class TestClusterLifecycle:
             expected = single.score(addresses)
             single.close()
             scores = service.score(addresses)
-            stats = service.pool_stats()
-            assert stats["starts"] == stats["workers"] == 1, stats
-            assert stats["remaps"] >= 1, stats
+            after = obs.snapshot()
+
+            def delta(kind, name):
+                return after[kind].get(name, 0) - before[kind].get(name, 0)
+
+            assert delta("counters", "pool_starts_total") == 1
+            assert delta("gauges", "pool_workers") == 1
+            assert delta("counters", "pool_remaps_total") >= 1
             for address in addresses:
                 np.testing.assert_allclose(
                     scores[address].probabilities,

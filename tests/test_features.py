@@ -102,12 +102,19 @@ class TestSFEProperties:
 
     @given(
         st.lists(finite_floats, min_size=1, max_size=20),
-        st.floats(min_value=0.1, max_value=100.0),
+        # Powers of two scale every value exactly.  An inexact ``v *
+        # scale`` changes the bag itself, and a bag whose mean cancels
+        # to ~1e-10 of its values (the second example) then has a
+        # different exact cv, whatever SFE computes.  Scales >= 1 stay
+        # exact for subnormal values too.
+        st.integers(min_value=0, max_value=6).map(lambda e: 2.0**e),
     )
     # Found by --hypothesis-seed=1224: squared deviations of a bag this
     # small used to underflow, zeroing std and distorting the shape
     # statistics.
     @example(values=[0.0, 9.506808005204821e-163], scale=4.0)
+    # Found by --hypothesis-seed=1738 with scale 3: the cancelling bag.
+    @example(values=[349526.0, -349525.9999999999], scale=4.0)
     @settings(max_examples=40, deadline=None)
     def test_positive_scaling_equivariance(self, values, scale):
         """Value-scaled stats scale linearly; shape stats are invariant."""

@@ -457,19 +457,6 @@ class TestClusterCrossProcess:
                 "pipeline_stage1_extraction_seconds"
             ]
             assert sum(hist["counts"]) > first_count
-            # The histogram observer and the stage timer record the
-            # same accumulations — worker timers merge once, worker
-            # histogram deltas drain once, so the two independent
-            # paths agree on total stage-1 seconds.
-            report = cluster.construction_report()
-            stage1 = next(
-                row
-                for row in report
-                if "extraction" in row["stage"]
-            )
-            assert hist["sum"] == pytest.approx(
-                stage1["total_seconds"], rel=1e-6
-            )
         finally:
             cluster.close()
 
@@ -490,16 +477,7 @@ class TestClusterCrossProcess:
             ]
             append_self_spend(chain, funded[0])
             cluster.score(addresses[:4])
-            snap = obs.snapshot()
-            counters = snap["counters"]
-            pool = cluster.pool_stats()
-            assert counters["pool_starts_total"] == pool["starts"]
-            assert (
-                counters["pool_ingest_batches_total"]
-                == pool["ingest_batches"]
-            )
-            assert counters["pool_remaps_total"] == pool["remaps"]
-            assert snap["gauges"]["pool_workers"] == pool["workers"]
+            counters = obs.snapshot()["counters"]
             assert (
                 counters["cache_slice_hits_total"]
                 == cluster.stats.hits

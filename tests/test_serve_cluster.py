@@ -96,6 +96,11 @@ def _counter(name: str) -> int:
     return obs.snapshot()["counters"].get(name, 0)
 
 
+def _gauge(name: str) -> float:
+    """Current level of a registry gauge (0 before its first write)."""
+    return obs.snapshot()["gauges"].get(name, 0.0)
+
+
 def _routing_child(payload, queue):
     """Spawn-target: route addresses in a fresh interpreter."""
     num_shards, prefix_length, addresses = payload
@@ -760,3 +765,28 @@ class TestWorkerPoolFaults:
         finally:
             pool.shutdown()
         assert _counter("pool_worker_deaths_total") == deaths
+
+
+class TestPoolWorkersGauge:
+    def test_gauge_counts_live_workers(self, economy):
+        """``pool_workers`` is the process-wide live-worker count: up by
+        the pool's size on start, down by one when the health check
+        finds a killed worker, and down by the rest on shutdown."""
+        _, index, _, classifier, _ = economy
+        base = _gauge("pool_workers")
+        _, pool = _pool(index, classifier)
+        try:
+            assert _gauge("pool_workers") == base + 2
+            victim = pool._processes[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            deadline = time.monotonic() + 10 * _COLLECT_POLL_SECONDS
+            while (
+                _gauge("pool_workers") != base + 1
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.05)
+            assert _gauge("pool_workers") == base + 1
+        finally:
+            pool.shutdown()
+        assert _gauge("pool_workers") == base

@@ -4,7 +4,7 @@ Pins the contracts the streaming rework introduced on top of the
 parity/persistence tests of ``test_serve_cluster``:
 
 - a block append on a connected cluster **streams** to the live worker
-  pool instead of re-forking it — ``pool_stats()['starts']`` stays 1
+  pool instead of re-forking it — ``pool_starts_total`` grows by 1
   across any number of appends, and worker-built graphs reflect the
   appended history (tail-replay ingestion, not stale snapshots);
 - queries on disjoint shards overlap: holding one shard's lock blocks
@@ -31,6 +31,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import BAClassifier, BAClassifierConfig
 from repro.errors import ValidationError
 from repro.serve import (
@@ -41,6 +42,11 @@ from repro.serve import (
 from repro.testing import append_self_spend, random_chain
 
 SLICE_SIZE = 4
+
+
+def _counter(name: str) -> int:
+    """Current value of a registry counter (0 before its first event)."""
+    return obs.snapshot()["counters"].get(name, 0)
 
 
 @pytest.fixture(scope="module")
@@ -98,20 +104,21 @@ class TestStreamingAppends:
         cluster = _cluster(
             economy, connect=True, num_shards=2, num_workers=2
         )
+        starts = _counter("pool_starts_total")
+        workers = obs.snapshot()["gauges"].get("pool_workers", 0)
         try:
             cluster.score(addresses)
-            stats = cluster.pool_stats()
-            assert stats["starts"] == 1
-            assert stats["workers"] == 2
-            before_ingests = stats["ingest_batches"]
+            assert _counter("pool_starts_total") == starts + 1
+            assert obs.snapshot()["gauges"]["pool_workers"] == workers + 2
+            before_ingests = _counter("pool_ingest_batches_total")
 
             target = _spendable(chain, index, addresses)
             append_self_spend(chain, target)
 
             rescored = cluster.score(addresses)
-            stats = cluster.pool_stats()
-            assert stats["starts"] == 1  # streamed, not re-forked
-            assert stats["ingest_batches"] > before_ingests
+            # Streamed, not re-forked.
+            assert _counter("pool_starts_total") == starts + 1
+            assert _counter("pool_ingest_batches_total") > before_ingests
             expected = classifier.predict_proba([target], index)[0]
             np.testing.assert_allclose(
                 rescored[target].probabilities,
@@ -129,6 +136,7 @@ class TestStreamingAppends:
         cluster = _cluster(
             economy, connect=True, num_shards=2, num_workers=2
         )
+        starts = _counter("pool_starts_total")
         try:
             cluster.score(addresses)
             target = _spendable(chain, index, addresses)
@@ -142,7 +150,7 @@ class TestStreamingAppends:
                     rtol=1e-9,
                     atol=1e-9,
                 )
-            assert cluster.pool_stats()["starts"] == 1
+            assert _counter("pool_starts_total") == starts + 1
         finally:
             cluster.close()
 
@@ -164,6 +172,7 @@ class TestWorkerShardOwnership:
         cluster = _cluster(
             economy, connect=True, num_shards=3, num_workers=2
         )
+        starts = _counter("pool_starts_total")
         try:
             cluster.score(addresses)
             touched = set()
@@ -178,7 +187,7 @@ class TestWorkerShardOwnership:
                 touched.add(shard_id % 2)
             assert touched == {0, 1}  # both workers replayed an append
             rescored = cluster.score(addresses)
-            assert cluster.pool_stats()["starts"] == 1
+            assert _counter("pool_starts_total") == starts + 1
         finally:
             cluster.close()
         rebuild = _cluster(economy, num_shards=3, num_workers=0)
@@ -387,7 +396,9 @@ class TestMicroBatching:
                         *(cluster.async_score(r) for r in requests)
                     )
 
+                before = obs.snapshot()["counters"]
                 results = asyncio.run(fan_out())
+                after = obs.snapshot()["counters"]
                 for request, scores in zip(requests, results):
                     assert sorted(scores) == sorted(set(request))
                     for address in request:
@@ -397,13 +408,19 @@ class TestMicroBatching:
                             rtol=1e-9,
                             atol=1e-9,
                         )
-                stats = cluster.micro_batch_stats()
-                assert stats["requests"] == len(requests)
-                assert stats["batched_requests"] == len(requests)
-                assert stats["batches"] < len(requests), (
+                stats = {
+                    name: after.get(name, 0) - before.get(name, 0)
+                    for name in (
+                        "micro_batch_requests_total",
+                        "micro_batched_requests_total",
+                        "micro_batches_total",
+                    )
+                }
+                assert stats["micro_batch_requests_total"] == len(requests)
+                assert stats["micro_batched_requests_total"] == len(requests)
+                assert stats["micro_batches_total"] < len(requests), (
                     "no coalescing happened inside a 200ms window"
                 )
-                assert stats["max_batch"] >= 2
             finally:
                 cluster.close()
 
