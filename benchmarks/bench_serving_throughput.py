@@ -73,6 +73,7 @@ so the same assertions can run in CI; see ``scripts/tier1.sh``.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
 import time
@@ -224,6 +225,10 @@ def test_bench_serving_throughput(serving_setup, tmp_path):
     )
 
     # --- cold: batched, but every slice is a cache miss --------------- #
+    # Each timed cold phase starts from a collected heap, so the ratios
+    # between them (cluster_speedup, store_throughput_ratio) do not
+    # depend on garbage earlier phases left behind.
+    gc.collect()
     start = time.perf_counter()
     cold_scores = service.score(addresses)
     cold_seconds = time.perf_counter() - start
@@ -360,6 +365,7 @@ def test_bench_serving_throughput(serving_setup, tmp_path):
             classifier, world.index, chain=world.chain, config=cluster_config
         )
     )
+    gc.collect()
     start = time.perf_counter()
     cluster_scores = cluster.score(addresses)
     cluster_cold_seconds = time.perf_counter() - start
@@ -532,6 +538,7 @@ def test_bench_serving_throughput(serving_setup, tmp_path):
             store_dir=str(tmp_path / "chain_store"),
         ),
     )
+    gc.collect()
     start = time.perf_counter()
     store_scores = store_cluster.score(addresses)
     store_cold_seconds = time.perf_counter() - start

@@ -27,10 +27,12 @@ forward per graph; the service instead:
   misses: Stages 1–4 run once over every slice graph of the call as
   one pack, and the pack is encoded in the same pass over the
   block-diagonal adjacency Stage 4 built (Eq. 12, plus the GFN
-  feature propagation of Eq. 13).  With ``num_workers == 0`` the
-  parent builds inline; otherwise the calls fan out over a pool of
-  *long-lived* ``multiprocessing`` workers (:class:`_WorkerPool`) that
-  ship the :class:`~repro.gnn.data.EncodedGraph` ndarray columns back.
+  feature propagation of Eq. 13).  The calling thread builds one
+  shard's call itself: every call with ``num_workers == 0``, otherwise
+  the call with the most requested slices, while the other calls fan
+  out over a pool of *long-lived* ``multiprocessing`` workers
+  (:class:`_WorkerPool`) that ship the
+  :class:`~repro.gnn.data.EncodedGraph` ndarray columns back.
   Block appends are *streamed* to the workers as tail-replay messages
   over the same per-worker queues
   (:meth:`~repro.chain.explorer.ChainIndex.ingest_transactions`), so a
@@ -146,6 +148,9 @@ _POOL_STARTS = obs.counter("pool_starts_total")
 _POOL_WORKERS = obs.gauge("pool_workers")
 _POOL_INGESTS = obs.counter("pool_ingest_batches_total")
 _POOL_REMAPS = obs.counter("pool_remaps_total")
+#: Shard builds submitted to the worker pool (the calling thread builds
+#: one task of each pass itself; see ``ClusterScoringService._build``).
+_POOL_BUILDS = obs.counter("pool_builds_total")
 #: Worker processes found dead by the pool's health check (once each).
 _POOL_DEATHS = obs.counter("pool_worker_deaths_total")
 #: Worker builds that came back as an error instead of graphs.
@@ -173,7 +178,11 @@ class ClusterConfig:
     ``num_shards`` fixes the address-space partition (and the warm
     store's bundle layout); ``num_workers`` sizes the construction
     worker pool (0 builds misses in the parent process, still
-    sharded); ``prefix_length`` feeds the router (see
+    sharded).  With workers, the scoring thread still builds one
+    shard's misses of each pass itself, the shard with the most
+    requested slices, and the pool builds the other shards'; the pool
+    starts on the first miss, even one that needs no worker.
+    ``prefix_length`` feeds the router (see
     :class:`~repro.serve.router.ShardRouter`).  ``cache_capacity`` and
     ``embedding_cache_capacity`` are *per shard*.  ``start_method``
     overrides the ``multiprocessing`` start method (default: ``fork``
@@ -738,7 +747,11 @@ class _WorkerPool:
     per-worker FIFO gives the parent a simple linearization guarantee —
     every build sees exactly the ingests enqueued before it.  A worker
     is handed only the shard indexes pinned to it, so an append costs
-    each shard one replay in one worker.
+    each shard one replay in one worker.  The pool builds all but one
+    task of a scoring pass: the calling thread builds the task with
+    the most requested slices from the parent's own shard index (see
+    :meth:`ClusterScoringService._build`), so a pass whose misses fall
+    in one shard submits nothing.
 
     A single collector thread drains the shared result queue, resolves
     the matching futures, and fails the futures of any worker that died
@@ -817,6 +830,7 @@ class _WorkerPool:
             future: Future = Future()
             self._pending[seq] = future
             self._assigned[seq] = worker_id
+        _POOL_BUILDS.inc()
         self._tasks[worker_id].put(
             ("build", seq, shard_id, requests, trace_context)
         )
@@ -1110,8 +1124,9 @@ def _fail_future(future: Future, error: BaseException) -> None:
 class ClusterScoringService:
     """Sharded, multi-process ``score(addresses)`` over a fitted model.
 
-    Construction is spread over ``config.num_workers`` live worker
-    processes (or run inline with 0), state over ``config.num_shards``
+    Construction is spread over the calling thread and
+    ``config.num_workers`` live worker processes (all inline with 0),
+    state over ``config.num_shards``
     independently-locked shards, and an async front end micro-batches
     concurrent requests.  See the module docstring for the design.
 
@@ -1387,8 +1402,10 @@ class ClusterScoringService:
     def score(self, addresses: Sequence[str]) -> Dict[str, AddressScore]:
         """Score addresses: ``{address: AddressScore}`` in input order.
 
-        Misses are planned per shard, built inline or by the live
-        worker pool (one task per shard with misses), and inference
+        Misses are planned per shard and built one task per shard
+        with misses: the calling thread builds the largest task (every
+        task with ``num_workers == 0``), the live worker pool the rest,
+        and inference
         runs once in the parent over every shard's sequences — scores
         match across shard and worker counts to 1e-9.  Raises
         :class:`~repro.errors.ValidationError` for addresses with no
@@ -1547,28 +1564,38 @@ class ClusterScoringService:
     ) -> Dict[str, List[EncodedGraph]]:
         """Construct all missing slices, one task per shard with misses.
 
-        The worker path submits every shard's task before collecting
-        any result, so cross-shard construction overlaps in the pool;
-        the inline path (``num_workers == 0``) builds shard by shard in
-        the calling thread, and concurrent callers build concurrently,
-        even on one shard.
+        The calling thread builds one task itself: with
+        ``num_workers == 0`` every task, otherwise the task with the
+        most requested slices (ties to the lowest shard id), after
+        submitting every other task to the worker pool; their results
+        are collected once the inline build is done.  A one-shard pass
+        therefore never crosses a process boundary, and a k-shard pass
+        ships k-1 payloads while the caller builds the largest.  Inline
+        builds read the parent's shard index without a lock (a racing
+        append is caught at commit), so concurrent callers build
+        concurrently, even on one shard.
         """
         built: Dict[str, List[EncodedGraph]] = {}
         if not to_build:
             return built
-        if self.config.num_workers > 0:
-            pool = self._ensure_pool()
-            with obs.span("serve.build"):
+        local = sorted(to_build.items())
+        futures: List[Future] = []
+        pool = self._ensure_pool() if self.config.num_workers > 0 else None
+        with obs.span("serve.build"):
+            if pool is not None:
+                # ``max`` keeps the first of equals: the lowest shard id.
+                largest = max(
+                    local,
+                    key=lambda task: sum(map(len, task[1].values())),
+                )
                 trace_context = obs.current_context()
                 futures = [
                     pool.submit(shard_id, requests, trace_context)
-                    for shard_id, requests in sorted(to_build.items())
+                    for shard_id, requests in local
+                    if shard_id != largest[0]
                 ]
-                for future in futures:
-                    built.update(future.result())
-            return built
-        with obs.span("serve.build"):
-            for shard_id, requests in sorted(to_build.items()):
+                local = [largest]
+            for shard_id, requests in local:
                 built.update(
                     build_encoded(
                         GraphConstructionPipeline(self.pipeline_config),
@@ -1578,6 +1605,8 @@ class ClusterScoringService:
                         gfn_k=getattr(self.classifier.encoder, "k", None),
                     )
                 )
+            for future in futures:
+                built.update(future.result())
         return built
 
     def _ensure_pool(self) -> _WorkerPool:

@@ -381,6 +381,9 @@ class TestClusterCrossProcess:
         )
         try:
             cluster.score(addresses[:4])
+            # Misses in both shards: one of them must reach a worker.
+            missed = [row for row in cluster.shard_stats() if row["misses"]]
+            assert len(missed) >= 2, "request missed in only one shard"
         finally:
             cluster.close()
         traces = obs.export_traces()
@@ -398,26 +401,35 @@ class TestClusterCrossProcess:
             assert "pipeline.stage1_extraction" in child_names
 
     def test_worker_encode_span_nests_under_worker_build(self, economy):
+        """A pass with k shard tasks builds one inline (``serve.encode``
+        in the parent) and ships k-1 to workers, each a
+        ``worker.build`` holding one ``worker.encode``."""
         _, index, addresses, classifier = economy
         cluster = ClusterScoringService(
             classifier,
             index,
-            config=ClusterConfig(num_shards=2, num_workers=2),
+            config=ClusterConfig(num_shards=3, num_workers=2),
         )
         try:
-            cluster.score(addresses[:4])
+            cluster.score(addresses)
+            tasks = sum(1 for row in cluster.shard_stats() if row["misses"])
         finally:
             cluster.close()
+        assert tasks >= 2, "economy routed onto one shard"
         (trace,) = obs.export_traces()
         (root,) = trace["spans"]
+        parent_pid = root["pid"]
         spans = list(_walk(root))
-        encodes = [s for s in spans if s["name"] == "worker.encode"]
-        assert encodes, "no worker.encode span on the request trace"
-        for build in (s for s in spans if s["name"] == "worker.build"):
+        builds = [s for s in spans if s["name"] == "worker.build"]
+        assert len(builds) == tasks - 1
+        for build in builds:
+            assert build["pid"] != parent_pid
             assert [
                 c["name"] for c in build["children"]
             ].count("worker.encode") == 1
-        assert not any(s["name"] == "serve.encode" for s in spans)
+        inline = [s for s in spans if s["name"] == "serve.encode"]
+        assert len(inline) == 1
+        assert inline[0]["pid"] == parent_pid
 
     def test_worker_deltas_fold_exactly_once_across_appends(
         self, economy

@@ -790,3 +790,54 @@ class TestPoolWorkersGauge:
         finally:
             pool.shutdown()
         assert _gauge("pool_workers") == base
+
+
+class TestCallerBuildsOneTask:
+    def test_pool_builds_all_but_the_largest_task(
+        self, economy, monkeypatch
+    ):
+        """The scoring thread builds one shard task of each pass itself,
+        the one with the most requested slices (ties to the lowest
+        shard id), and submits only the others to the pool."""
+        _, index, addresses, classifier, _ = economy
+        submitted = []
+        submit = _WorkerPool.submit
+
+        def recording_submit(pool, shard_id, *args, **kwargs):
+            submitted.append(shard_id)
+            return submit(pool, shard_id, *args, **kwargs)
+
+        monkeypatch.setattr(_WorkerPool, "submit", recording_submit)
+        cluster = _cluster(economy, num_shards=3, num_workers=2)
+        try:
+            by_shard = cluster.router.partition(addresses)
+            assert len(by_shard) == 3, "economy routed onto fewer shards"
+            first = next(
+                members[0]
+                for members in by_shard.values()
+                if len(members) >= 2
+            )
+            builds = _counter("pool_builds_total")
+            cluster.score([first])
+            assert _counter("pool_builds_total") == builds
+            assert submitted == []
+
+            before = [row["misses"] for row in cluster.shard_stats()]
+            scores = cluster.score(addresses)
+            requested = [
+                row["misses"] - was
+                for row, was in zip(cluster.shard_stats(), before)
+            ]
+            assert all(requested), "a shard had no misses"
+            assert _counter("pool_builds_total") == builds + 2
+            largest = requested.index(max(requested))
+            assert sorted(submitted) == sorted(
+                set(range(3)) - {largest}
+            )
+        finally:
+            cluster.close()
+        expected = classifier.predict_proba(addresses, index)
+        for address, row in zip(addresses, expected):
+            np.testing.assert_allclose(
+                scores[address].probabilities, row, rtol=1e-9, atol=1e-9
+            )

@@ -7,6 +7,9 @@ parity/persistence tests of ``test_serve_cluster``:
   pool instead of re-forking it — ``pool_starts_total`` grows by 1
   across any number of appends, and worker-built graphs reflect the
   appended history (tail-replay ingestion, not stale snapshots);
+- a pooled pass builds one shard task in the calling thread and the
+  rest in workers, and concurrent callers doing so score as a serial
+  inline rebuild does;
 - queries on disjoint shards overlap: holding one shard's lock blocks
   only that shard's queries, never the others';
 - micro-batched concurrent ``async_score`` calls coalesce into fewer
@@ -26,6 +29,7 @@ exercise locking and linearization, not model quality.
 """
 
 import asyncio
+import sys
 import threading
 
 import numpy as np
@@ -99,7 +103,9 @@ def _spendable(chain, index, addresses, router=None, shard_id=None):
 class TestStreamingAppends:
     def test_append_streams_instead_of_reforking(self, economy):
         """The acceptance pin: appends never restart the worker pool,
-        and post-append worker builds match a fresh model pass."""
+        the append still streams to the workers, and the post-append
+        rebuild (a one-shard pass, so built by the scoring thread)
+        matches a fresh model pass."""
         chain, index, addresses, classifier, _ = economy
         cluster = _cluster(
             economy, connect=True, num_shards=2, num_workers=2
@@ -153,6 +159,37 @@ class TestStreamingAppends:
             assert _counter("pool_starts_total") == starts + 1
         finally:
             cluster.close()
+
+
+    def test_two_shard_append_rebuilds_through_a_worker(self, economy):
+        """Appends touching both shards dirty both, so the rescore
+        hands one shard's rebuild to a worker, which must have replayed
+        the streamed tail: its scores match a fresh model pass."""
+        chain, index, addresses, classifier, _ = economy
+        cluster = _cluster(
+            economy, connect=True, num_shards=2, num_workers=2
+        )
+        try:
+            cluster.score(addresses)
+            targets = [
+                _spendable(chain, index, addresses, cluster.router, shard_id)
+                for shard_id in range(2)
+            ]
+            for target in targets:
+                append_self_spend(chain, target)
+            builds = _counter("pool_builds_total")
+            rescored = cluster.score(addresses)
+            assert _counter("pool_builds_total") == builds + 1
+        finally:
+            cluster.close()
+        expected = classifier.predict_proba(addresses, index)
+        for address, row in zip(addresses, expected):
+            np.testing.assert_allclose(
+                rescored[address].probabilities,
+                row,
+                rtol=1e-9,
+                atol=1e-9,
+            )
 
 
 class TestWorkerShardOwnership:
@@ -310,6 +347,79 @@ class TestPerShardLocking:
                     )
         finally:
             cluster.close()
+
+    def test_concurrent_pooled_cold_builds(self, economy, monkeypatch):
+        """Concurrent callers on a pooled cluster each build one shard
+        task inline and submit the rest: overlapping multi-shard cold
+        requests score as a serial inline rebuild does, and every
+        submitted build has resolved once ``close()`` returns."""
+        from repro.serve.cluster import _WorkerPool
+
+        _, _, addresses, _, _ = economy
+        serial = _cluster(economy, num_shards=2, num_workers=0)
+        try:
+            expected = serial.score(addresses)
+        finally:
+            serial.close()
+
+        futures = []
+        submit = _WorkerPool.submit
+
+        def recording_submit(pool, *args, **kwargs):
+            future = submit(pool, *args, **kwargs)
+            futures.append(future)
+            return future
+
+        monkeypatch.setattr(_WorkerPool, "submit", recording_submit)
+        cluster = _cluster(
+            economy, num_shards=2, num_workers=2, micro_batch=False
+        )
+        requests = [
+            addresses[i:] + addresses[:i] for i in range(0, 6, 2)
+        ] + [addresses[: len(addresses) // 2 + 1]]
+        for request in requests:
+            assert len(cluster.router.partition(request)) == 2
+        start = threading.Barrier(len(requests), timeout=30)
+        results = [None] * len(requests)
+        errors = []
+
+        def run(slot):
+            try:
+                start.wait()
+                results[slot] = cluster.score(requests[slot])
+            except Exception as error:  # pragma: no cover
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=run, args=(slot,))
+            for slot in range(len(requests))
+        ]
+        # Switch threads often so the callers' plans, inline builds and
+        # commits interleave.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            pool = cluster._pool
+        finally:
+            sys.setswitchinterval(switch_interval)
+            cluster.close()
+        assert errors == []
+        assert futures, "no build reached the worker pool"
+        assert all(future.done() for future in futures)
+        assert not pool._pending
+        for request, scores in zip(requests, results):
+            for address in request:
+                np.testing.assert_allclose(
+                    scores[address].probabilities,
+                    expected[address].probabilities,
+                    rtol=1e-9,
+                    atol=1e-9,
+                )
 
     def test_append_during_inflight_query_linearizes(self, economy):
         """An append racing a query's build forces a re-plan: the query
